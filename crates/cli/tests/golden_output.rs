@@ -64,6 +64,14 @@ fn analyze_output_is_stable() {
     check_snapshot("analyze-mm-tiny.txt", &normalize(&first));
 }
 
+/// A larger trace than mm:tiny, with load→store value paths through the
+/// propagation walk, pinned byte for byte.
+#[test]
+fn analyze_bfs_small_output_is_stable() {
+    let out = run_epvf(&["analyze", "bfs:small"]);
+    check_snapshot("analyze-bfs-small.txt", &normalize(&out));
+}
+
 #[test]
 fn inject_is_byte_stable_across_threads_and_checkpoints() {
     let base = run_epvf(&["inject", "mm:tiny", "300", "7", "--threads", "1"]);

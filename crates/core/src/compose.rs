@@ -102,10 +102,6 @@ fn sid_text_hashes(module: &Module) -> Vec<u64> {
 /// Produces a result equal to [`crate::analyze`] on the same inputs — the
 /// differential suite in `epvf-oracle` enforces full `CrashMap` equality —
 /// while a warm cache skips the propagation walk for unchanged sections.
-///
-/// The model phase is serial by construction (section runs are processed in
-/// trace order over one shared map); thread-count options in `config.crash`
-/// are ignored here, exactly as they are by the serial monolithic path.
 pub fn analyze_compositional(
     module: &Module,
     trace: &Trace,
@@ -149,7 +145,7 @@ fn compose_model(
     let runs = section_runs(trace, |sid| sections.section_of(sid));
     let index = InstIndex::new(module);
     let sid_hash = sid_text_hashes(module);
-    let mut map = CrashMap::default();
+    let mut map = CrashMap::new(trace, ddg);
 
     for run in runs {
         // Access roots of this run — the same filter the monolithic pass
@@ -295,9 +291,7 @@ fn section_key(
 ) -> u64 {
     let mut k = Key::new();
     k.u32(SECT_VERSION);
-    // Config knobs that change the pass's semantics. Thread counts and the
-    // parallel cutoff are deliberately excluded: they never affect the
-    // serial walk, so caches are shared across `--threads` settings.
+    // Every config knob that changes the pass's semantics.
     k.u8(config.ace.include_control as u8);
     k.u8(config.crash.stack_rule as u8);
     k.u64(config.crash.stack_limit);

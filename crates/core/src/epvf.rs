@@ -133,43 +133,6 @@ pub fn analyze(module: &Module, trace: &Trace, config: EpvfConfig) -> EpvfResult
     }
 }
 
-/// [`analyze`] with the propagation model parallelized over `threads`
-/// workers (`0` = resolve from `config.crash.threads` / machine
-/// parallelism). Only the paper-default [`CrashScope::AceOnly`] runs in
-/// parallel; other scopes fall back to the serial pass, matching
-/// [`crate::propagate_parallel`].
-pub fn analyze_threaded(
-    module: &Module,
-    trace: &Trace,
-    config: EpvfConfig,
-    threads: usize,
-) -> EpvfResult {
-    if config.scope != CrashScope::AceOnly {
-        return analyze(module, trace, config);
-    }
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreAnalyses, 1);
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreTraceLen, trace.len() as u64);
-    let t0 = Instant::now();
-    let ddg = build_ddg(module, trace);
-    let ace = AceGraph::compute(&ddg, config.ace);
-    let graph_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let crash_map =
-        crate::propagation::propagate_parallel(module, trace, &ddg, &ace, config.crash, threads);
-    let model_time = t1.elapsed();
-
-    let metrics = compute_metrics(
-        module, trace, &ddg, &ace, &crash_map, graph_time, model_time,
-    );
-    EpvfResult {
-        ddg,
-        ace,
-        crash_map,
-        metrics,
-    }
-}
-
 /// Metrics over precomputed artifacts (used by the sampling estimator to
 /// rescore partial ACE graphs without rebuilding the DDG).
 pub fn compute_metrics(

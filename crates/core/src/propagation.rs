@@ -20,7 +20,6 @@ use epvf_ddg::{AceGraph, Ddg, EdgeKind, NodeId, NodeKind};
 use epvf_interp::{DynInst, Trace};
 use epvf_ir::{BinOp, CastOp, Inst, Module, Op, StaticInstId, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which memory accesses trigger the crash model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -54,26 +53,84 @@ impl Constraint {
     }
 }
 
+/// Empty marker in [`CrashMap`]'s dense slot tables.
+const ABSENT: u32 = u32::MAX;
+
 /// The paper's `CRASHING_BIT_LIST`: per-use and per-node crash constraints.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Storage is dense and sized once per analysis (`CrashMap::new`): one
+/// `u32` slot per DDG node and one per `(trace record, operand slot)` —
+/// record `i`'s operands occupy `use_base[i]..use_base[i + 1]` — each
+/// holding an index into a compact array of the constraints actually set.
+/// Lookups are two array reads with no hashing, and only constrained
+/// locations pay for a full [`Constraint`].
+///
+/// Equality is by content: two maps are equal when they hold the same
+/// constraints on the same keys, whatever their write order or sizing.
+#[derive(Debug, Clone, Default)]
 pub struct CrashMap {
-    /// `(dynamic instruction, operand slot)` → constraint on that read.
-    uses: HashMap<(u64, usize), Constraint>,
-    /// DDG node → constraint on the value it carries.
-    nodes: HashMap<NodeId, Constraint>,
+    /// Per trace record, the index of its first operand slot in `use_slot`
+    /// (`trace.len() + 1` prefix sums of operand counts).
+    use_base: Vec<u32>,
+    /// Per `(record, operand slot)`: index into `use_vals`, or [`ABSENT`].
+    use_slot: Vec<u32>,
+    /// Per DDG node: index into `node_vals`, or [`ABSENT`].
+    node_slot: Vec<u32>,
+    /// Use constraints, in first-write order.
+    use_vals: Vec<Constraint>,
+    /// Node constraints, in first-write order.
+    node_vals: Vec<Constraint>,
+}
+
+impl PartialEq for CrashMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_uses() == other.n_uses()
+            && self.n_nodes() == other.n_nodes()
+            && self.uses().eq(other.uses())
+            && self.nodes().eq(other.nodes())
+    }
 }
 
 impl CrashMap {
+    /// An empty map with a slot for every operand of every record in
+    /// `trace` and for every node of `ddg`.
+    pub(crate) fn new(trace: &Trace, ddg: &Ddg) -> CrashMap {
+        let mut use_base = Vec::with_capacity(trace.len() + 1);
+        let mut n_slots = 0usize;
+        use_base.push(0);
+        for rec in trace {
+            n_slots += rec.operands.len();
+            use_base.push(u32::try_from(n_slots).expect("operand slots fit in u32"));
+        }
+        CrashMap {
+            use_base,
+            use_slot: vec![ABSENT; n_slots],
+            node_slot: vec![ABSENT; ddg.len()],
+            use_vals: Vec::new(),
+            node_vals: Vec::new(),
+        }
+    }
+
+    /// Position of `(dyn_idx, slot)` in `use_slot`; `None` past the end of
+    /// the trace or of the record's operands.
+    fn use_pos(&self, dyn_idx: u64, slot: usize) -> Option<usize> {
+        let i = usize::try_from(dyn_idx).ok()?;
+        let lo = *self.use_base.get(i)? as usize;
+        let hi = *self.use_base.get(i + 1)? as usize;
+        let pos = lo.checked_add(slot)?;
+        (pos < hi).then_some(pos)
+    }
+
     /// The constraint on operand `slot` of dynamic instruction `dyn_idx`.
     pub fn use_constraint(&self, dyn_idx: u64, slot: usize) -> Option<&Constraint> {
-        self.uses.get(&(dyn_idx, slot))
+        let at = self.use_slot[self.use_pos(dyn_idx, slot)?];
+        (at != ABSENT).then(|| &self.use_vals[at as usize])
     }
 
     /// Does the model predict a crash for flipping `bit` of that operand
     /// read? `false` when the location carries no constraint.
     pub fn predicts_crash(&self, dyn_idx: u64, slot: usize, bit: u8) -> bool {
-        self.uses
-            .get(&(dyn_idx, slot))
+        self.use_constraint(dyn_idx, slot)
             .is_some_and(|c| bit < c.width as u8 && c.range.flip_crashes(c.value, bit))
     }
 
@@ -83,7 +140,7 @@ impl CrashMap {
     /// crash (they never arise from in-universe specs), and a single-bit
     /// mask gives exactly `predicts_crash` of that bit.
     pub fn predicts_crash_mask(&self, dyn_idx: u64, slot: usize, mask: u64) -> bool {
-        self.uses.get(&(dyn_idx, slot)).is_some_and(|c| {
+        self.use_constraint(dyn_idx, slot).is_some_and(|c| {
             let width_mask = if c.width >= 64 {
                 u64::MAX
             } else {
@@ -95,30 +152,49 @@ impl CrashMap {
 
     /// The constraint attached to a DDG node, if any.
     pub fn node_constraint(&self, node: NodeId) -> Option<&Constraint> {
-        self.nodes.get(&node)
+        let at = *self.node_slot.get(node.index())?;
+        (at != ABSENT).then(|| &self.node_vals[at as usize])
     }
 
-    /// Iterate all use constraints.
-    pub fn uses(&self) -> impl Iterator<Item = (&(u64, usize), &Constraint)> {
-        self.uses.iter()
+    /// All use constraints, in ascending `(dyn_idx, slot)` order.
+    pub fn uses(&self) -> impl Iterator<Item = ((u64, usize), Constraint)> + '_ {
+        self.use_base
+            .windows(2)
+            .enumerate()
+            .flat_map(move |(dyn_idx, w)| {
+                let (lo, hi) = (w[0] as usize, w[1] as usize);
+                self.use_slot[lo..hi]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &at)| at != ABSENT)
+                    .map(move |(slot, &at)| ((dyn_idx as u64, slot), self.use_vals[at as usize]))
+            })
+    }
+
+    /// All node constraints, in ascending node order.
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, Constraint)> + '_ {
+        self.node_slot
+            .iter()
+            .enumerate()
+            .filter(|&(_, &at)| at != ABSENT)
+            .map(|(n, &at)| (NodeId(n as u32), self.node_vals[at as usize]))
     }
 
     /// Number of constrained uses.
     pub fn n_uses(&self) -> usize {
-        self.uses.len()
+        self.use_vals.len()
     }
 
     /// Number of constrained nodes.
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.node_vals.len()
     }
 
     /// Σ crash bits over ACE register nodes — the `CrashBits` term of the
     /// paper's Eq. 2.
     pub fn ace_register_crash_bits(&self, ddg: &Ddg, ace: &AceGraph) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|(id, _)| ace.contains(**id) && ddg.node(**id).kind.is_reg())
+        self.nodes()
+            .filter(|&(id, _)| ace.contains(id) && ddg.node(id).kind.is_reg())
             .map(|(_, c)| u64::from(c.crash_bit_count()))
             .sum()
     }
@@ -126,10 +202,29 @@ impl CrashMap {
     /// Σ crash bits over all constrained uses (numerator of the crash-rate
     /// estimate validated in the paper's Fig. 8).
     pub fn total_use_crash_bits(&self) -> u64 {
-        self.uses
-            .values()
+        self.use_vals
+            .iter()
             .map(|c| u64::from(c.crash_bit_count()))
             .sum()
+    }
+
+    /// The use constraint at `(dyn_idx, slot)`, created as
+    /// `FULL`/`value`/`width` if absent.
+    fn use_entry(&mut self, dyn_idx: u64, slot: usize, value: u64, width: u32) -> &mut Constraint {
+        let pos = self
+            .use_pos(dyn_idx, slot)
+            .expect("use key inside the map's trace");
+        dense_entry(&mut self.use_slot[pos], &mut self.use_vals, value, width)
+    }
+
+    /// The node constraint, created as `FULL`/`value`/`width` if absent.
+    fn node_entry(&mut self, node: NodeId, value: u64, width: u32) -> &mut Constraint {
+        dense_entry(
+            &mut self.node_slot[node.index()],
+            &mut self.node_vals,
+            value,
+            width,
+        )
     }
 
     fn constrain_use(
@@ -140,52 +235,24 @@ impl CrashMap {
         value: u64,
         width: u32,
     ) {
-        let entry = self.uses.entry((dyn_idx, slot)).or_insert(Constraint {
-            range: ValueRange::FULL,
-            value,
-            width,
-        });
+        let entry = self.use_entry(dyn_idx, slot, value, width);
         entry.range = entry.range.intersect(range);
-    }
-
-    /// Merge another map into this one by constraint intersection — the
-    /// reduction step of the parallel propagation of §VI-A ("threads can be
-    /// assigned to one backward slice each with minimum coordination").
-    pub fn merge(&mut self, other: CrashMap) {
-        for (k, c) in other.uses {
-            let e = self.uses.entry(k).or_insert(Constraint {
-                range: ValueRange::FULL,
-                ..c
-            });
-            e.range = e.range.intersect(c.range);
-        }
-        for (k, c) in other.nodes {
-            let e = self.nodes.entry(k).or_insert(Constraint {
-                range: ValueRange::FULL,
-                ..c
-            });
-            e.range = e.range.intersect(c.range);
-        }
     }
 
     /// Insert a use constraint verbatim (compositional replay: the recorded
     /// final state of a cached section is re-applied without re-walking).
     pub(crate) fn set_use(&mut self, dyn_idx: u64, slot: usize, c: Constraint) {
-        self.uses.insert((dyn_idx, slot), c);
+        *self.use_entry(dyn_idx, slot, c.value, c.width) = c;
     }
 
     /// Insert a node constraint verbatim (compositional replay).
     pub(crate) fn set_node(&mut self, node: NodeId, c: Constraint) {
-        self.nodes.insert(node, c);
+        *self.node_entry(node, c.value, c.width) = c;
     }
 
     /// Tighten a node constraint; returns `true` if it actually shrank.
     fn tighten_node(&mut self, node: NodeId, range: ValueRange, value: u64, width: u32) -> bool {
-        let entry = self.nodes.entry(node).or_insert(Constraint {
-            range: ValueRange::FULL,
-            value,
-            width,
-        });
+        let entry = self.node_entry(node, value, width);
         let merged = entry.range.intersect(range);
         if merged == entry.range {
             false
@@ -195,6 +262,25 @@ impl CrashMap {
             true
         }
     }
+}
+
+/// The constraint behind one dense slot, appending an unconstrained
+/// (`FULL`) one to `vals` first if the slot is empty.
+fn dense_entry<'a>(
+    slot: &mut u32,
+    vals: &'a mut Vec<Constraint>,
+    value: u64,
+    width: u32,
+) -> &'a mut Constraint {
+    if *slot == ABSENT {
+        *slot = u32::try_from(vals.len()).expect("constraints fit in u32");
+        vals.push(Constraint {
+            range: ValueRange::FULL,
+            value,
+            width,
+        });
+    }
+    &mut vals[*slot as usize]
 }
 
 /// The set of [`CrashMap`] keys a propagation pass wrote — recorded by the
@@ -462,7 +548,7 @@ pub fn propagate_scoped(
 ) -> CrashMap {
     let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
     let index = InstIndex::new(module);
-    let mut map = CrashMap::default();
+    let mut map = CrashMap::new(trace, ddg);
     run_over(
         module,
         trace,
@@ -478,73 +564,6 @@ pub fn propagate_scoped(
         0..trace.len() as u64,
     );
     map
-}
-
-/// Parallel variant of [`propagate`] (paper §VI-A): the trace is split into
-/// contiguous chunks, each worker propagates its own accesses into a local
-/// `CrashMap`, and the results are merged by constraint intersection.
-///
-/// The merged result is the same constraint system as the serial one up to
-/// interval-rounding at `mul`/`div` inversions (the serial pass may derive a
-/// marginally tighter range when constraints from different accesses meet
-/// *before* such an inversion); in practice the maps coincide.
-pub fn propagate_parallel(
-    module: &Module,
-    trace: &Trace,
-    ddg: &Ddg,
-    ace: &AceGraph,
-    config: CrashModelConfig,
-    threads: usize,
-) -> CrashMap {
-    // Thread-count resolution: the explicit argument wins; 0 defers to
-    // `config.threads`; if that is 0 too, use the machine's parallelism.
-    let threads = match (threads, config.threads) {
-        (0, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        (0, t) => t,
-        (t, _) => t,
-    };
-    if threads == 1 || trace.len() < config.parallel_cutoff {
-        return propagate(module, trace, ddg, ace, config);
-    }
-    let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
-    let index = InstIndex::new(module);
-    let chunk = (trace.len() as u64).div_ceil(threads as u64);
-    let mut maps: Vec<CrashMap> = Vec::new();
-    crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads as u64 {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(trace.len() as u64);
-            let index = &index;
-            handles.push(scope.spawn(move |_| {
-                let mut local = CrashMap::default();
-                run_over(
-                    module,
-                    trace,
-                    ddg,
-                    ace,
-                    config,
-                    CrashScope::AceOnly,
-                    index,
-                    &mut PropSink {
-                        map: &mut local,
-                        touched: None,
-                    },
-                    lo..hi,
-                );
-                local
-            }));
-        }
-        for h in handles {
-            maps.push(h.join().expect("propagation worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    let mut out = CrashMap::default();
-    for m in maps {
-        out.merge(m);
-    }
-    out
 }
 
 /// Algorithm 1 over the accesses whose dynamic index lies in `range_of_recs`.
@@ -1134,5 +1153,104 @@ mod tests {
         );
         assert!(ace_bits <= ace.register_bits());
         assert!(map.total_use_crash_bits() >= ace_bits / 2);
+    }
+
+    /// bfs:tiny through the monolithic pass: a map with load→store value
+    /// paths and many records per access slice.
+    fn bfs_tiny() -> (Trace, Ddg, CrashMap) {
+        let w = epvf_workloads::by_name("bfs", epvf_workloads::Scale::Tiny).expect("bfs");
+        let t = w.golden().trace.expect("trace");
+        let ddg = build_ddg(&w.module, &t);
+        let ace = AceGraph::compute(&ddg, AceConfig::default());
+        let map = propagate(&w.module, &t, &ddg, &ace, CrashModelConfig::default());
+        (t, ddg, map)
+    }
+
+    #[test]
+    fn uses_ascend_strictly_and_match_the_count() {
+        let (_t, _ddg, map) = bfs_tiny();
+        let keys: Vec<(u64, usize)> = map.uses().map(|(k, _)| k).collect();
+        assert!(keys.len() > 100, "a non-trivial map");
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+        assert_eq!(keys.len(), map.n_uses());
+        for ((dyn_idx, slot), c) in map.uses() {
+            assert_eq!(map.use_constraint(dyn_idx, slot), Some(&c));
+        }
+        let nodes: Vec<NodeId> = map.nodes().map(|(n, _)| n).collect();
+        assert!(nodes.windows(2).all(|w| w[0].index() < w[1].index()));
+        assert_eq!(nodes.len(), map.n_nodes());
+    }
+
+    #[test]
+    fn lookups_past_the_end_are_absent() {
+        let (t, ddg, map) = bfs_tiny();
+        let end = t.len() as u64;
+        for dyn_idx in [end, end + 1, u64::MAX] {
+            assert!(map.use_constraint(dyn_idx, 0).is_none());
+            assert!(!map.predicts_crash(dyn_idx, 0, 45));
+            assert!(!map.predicts_crash_mask(dyn_idx, 0, 1 << 45));
+        }
+        assert!(map.node_constraint(NodeId(ddg.len() as u32)).is_none());
+        assert!(map.node_constraint(NodeId(u32::MAX)).is_none());
+        // A slot one past a record's operands must not alias the next
+        // record's first operand slot.
+        let (dyn_idx, _) = map
+            .uses()
+            .map(|(k, _)| k)
+            .find(|&(i, s)| i > 0 && s == 0)
+            .expect("a constrained slot 0");
+        let prev = t.get(dyn_idx - 1).expect("previous record");
+        assert!(map.use_constraint(dyn_idx, 0).is_some());
+        assert!(map.use_constraint(prev.idx, prev.operands.len()).is_none());
+        assert!(map.use_constraint(prev.idx, usize::MAX).is_none());
+
+        let empty = CrashMap::default();
+        assert!(empty.use_constraint(0, 0).is_none());
+        assert!(!empty.predicts_crash(0, 0, 0));
+        assert!(!empty.predicts_crash_mask(0, 0, 1));
+        assert!(empty.node_constraint(NodeId(0)).is_none());
+        assert_eq!(empty.uses().count(), 0);
+        assert_eq!((empty.n_uses(), empty.n_nodes()), (0, 0));
+        assert_eq!(empty, CrashMap::new(&t, &ddg), "equality is by content");
+        assert_ne!(empty, map);
+    }
+
+    #[test]
+    fn replayed_writes_equal_tightened_writes() {
+        let (t, ddg, map) = bfs_tiny();
+        // Compose-style replay of every final constraint, in the reverse
+        // of the walk's write order, reproduces the walked map.
+        let mut replayed = CrashMap::new(&t, &ddg);
+        let uses: Vec<_> = map.uses().collect();
+        let nodes: Vec<_> = map.nodes().collect();
+        for &((dyn_idx, slot), c) in uses.iter().rev() {
+            replayed.set_use(dyn_idx, slot, c);
+        }
+        for &(n, c) in nodes.iter().rev() {
+            replayed.set_node(n, c);
+        }
+        assert_eq!(replayed, map);
+
+        // Two tightenings of one key equal one verbatim write of their
+        // intersection.
+        let ((dyn_idx, slot), _) = uses[0];
+        let (a, b) = (ValueRange::new(10, 1000), ValueRange::new(50, 5000));
+        let mut tightened = CrashMap::new(&t, &ddg);
+        tightened.constrain_use(dyn_idx, slot, a, 64, 64);
+        tightened.constrain_use(dyn_idx, slot, b, 64, 64);
+        assert!(tightened.tighten_node(NodeId(2), a, 64, 64));
+        assert!(tightened.tighten_node(NodeId(2), b, 64, 64));
+        assert!(!tightened.tighten_node(NodeId(2), b, 64, 64), "no shrink");
+        let mut set = CrashMap::new(&t, &ddg);
+        let c = Constraint {
+            range: a.intersect(b),
+            value: 64,
+            width: 64,
+        };
+        set.set_node(NodeId(2), c);
+        set.set_use(dyn_idx, slot, c);
+        assert_eq!(tightened, set);
+        set.set_use(dyn_idx, slot, Constraint { value: 65, ..c });
+        assert_ne!(tightened, set, "the golden value is part of the content");
     }
 }

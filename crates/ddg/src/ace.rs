@@ -70,7 +70,7 @@ impl AceGraph {
             frontier_peak = frontier_peak.max(queue.len());
         }
         epvf_telemetry::add(epvf_telemetry::Ctr::AceNodesVisited, nodes.len() as u64);
-        epvf_telemetry::peak(epvf_telemetry::Ctr::AceFrontierPeak, frontier_peak as u64);
+        epvf_telemetry::peak(epvf_telemetry::Gauge::AceFrontierPeak, frontier_peak as u64);
         nodes.sort_unstable();
         let register_bits = nodes
             .iter()

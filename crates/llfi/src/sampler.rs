@@ -46,7 +46,7 @@ use crate::stats::{clopper_pearson_f, wilson95_f, Z95};
 use crate::supervise::RunSession;
 use epvf_core::SiteClass;
 use epvf_interp::InjectionSpec;
-use epvf_telemetry::{Ctr, Progress};
+use epvf_telemetry::{Ctr, Gauge, Progress};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -480,7 +480,7 @@ impl AdaptiveSampler {
         E: FnMut(&[InjectionSpec], &RoundInfo) -> Vec<InjOutcome>,
     {
         let cap = self.cap();
-        epvf_telemetry::peak(Ctr::SamplerStrata, self.strata.len() as u64);
+        epvf_telemetry::peak(Gauge::SamplerStrata, self.strata.len() as u64);
         let mut executed = 0usize;
         let mut rounds = 0usize;
         let mut converged = false;
@@ -524,7 +524,7 @@ impl AdaptiveSampler {
             converged = worst <= self.cfg.target_ci;
         }
         if let Some(hw) = half_width {
-            epvf_telemetry::peak(Ctr::SamplerCiHalfWidthPpm, (hw * 1e6).round() as u64);
+            epvf_telemetry::peak(Gauge::SamplerCiHalfWidthPpm, (hw * 1e6).round() as u64);
         }
         let sdc = self.sdc_estimate(executed);
         let crash = self.crash_estimate(executed);

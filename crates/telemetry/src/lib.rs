@@ -48,20 +48,22 @@ mod report;
 mod snapshot;
 
 pub use fsutil::atomic_write;
-pub use metrics::{Combine, CounterDef, Ctr, Tmr, ALL_CTRS, ALL_TMRS, COUNTER_DEFS, TIMER_DEFS};
+pub use metrics::{
+    Combine, CounterDef, Ctr, Gauge, Tmr, ALL_CTRS, ALL_GAUGES, ALL_TMRS, COUNTER_DEFS, TIMER_DEFS,
+};
 pub use progress::Progress;
 pub use registry::{global, Registry, Span};
 pub use report::{MetricsReport, SCHEMA_NAME, SCHEMA_VERSION};
 pub use snapshot::{MetricsSnapshot, TimerSnapshot};
 
-/// Add `n` to a sum counter (or raise a max gauge) in the global registry.
+/// Add `n` to a sum counter in the global registry.
 pub fn add(c: Ctr, n: u64) {
     global().add(c, n);
 }
 
 /// Raise a peak (max-combining) gauge in the global registry.
-pub fn peak(c: Ctr, v: u64) {
-    global().peak(c, v);
+pub fn peak(g: Gauge, v: u64) {
+    global().peak(g, v);
 }
 
 /// Start a phase span against the global registry; the elapsed time is

@@ -34,26 +34,60 @@ pub struct CounterDef {
 }
 
 macro_rules! define_counters {
-    ($($variant:ident => ($name:literal, $combine:ident, $invariant:literal, $help:literal),)*) => {
-        /// Every counter in the pipeline. The discriminant doubles as the
-        /// registry slot, so recording is a single indexed atomic op.
+    // Sort each entry into the sum or the max list by its combine rule.
+    // Every entry costs one level of macro recursion (default limit 128).
+    (@sort [$($s:tt)*] [$($m:tt)*]
+        $variant:ident => ($name:literal, Sum, $invariant:literal, $help:literal), $($rest:tt)*) => {
+        define_counters!(@sort [$($s)* $variant => ($name, $invariant, $help),] [$($m)*] $($rest)*);
+    };
+    (@sort [$($s:tt)*] [$($m:tt)*]
+        $variant:ident => ($name:literal, Max, $invariant:literal, $help:literal), $($rest:tt)*) => {
+        define_counters!(@sort [$($s)*] [$($m)* $variant => ($name, $invariant, $help),] $($rest)*);
+    };
+    (@sort
+        [$($variant:ident => ($name:literal, $invariant:literal, $help:literal),)*]
+        [$($gvariant:ident => ($gname:literal, $ginvariant:literal, $ghelp:literal),)*]) => {
+        /// Every sum counter in the pipeline. The discriminant doubles as
+        /// the registry slot, so recording is a single indexed atomic op.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Ctr {
             $(#[doc = $help] $variant,)*
         }
 
-        /// Definitions, indexed by `Ctr as usize`.
+        /// Every peak gauge in the pipeline. A separate type from [`Ctr`] so
+        /// `add` cannot reach a gauge nor `peak` a sum counter: mixing
+        /// `fetch_add` and `fetch_max` on one slot does not commute, and
+        /// concurrent recording would then depend on thread interleaving.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Gauge {
+            $(#[doc = $ghelp] $gvariant,)*
+        }
+
+        /// Definitions, indexed by registry slot: every [`Ctr`] in
+        /// definition order, then every [`Gauge`].
         pub const COUNTER_DEFS: &[CounterDef] = &[
             $(CounterDef {
                 name: $name,
-                combine: Combine::$combine,
+                combine: Combine::Sum,
                 invariant: $invariant,
                 help: $help,
             },)*
+            $(CounterDef {
+                name: $gname,
+                combine: Combine::Max,
+                invariant: $ginvariant,
+                help: $ghelp,
+            },)*
         ];
 
-        /// All counters, in definition order.
+        /// All sum counters, in definition order.
         pub const ALL_CTRS: &[Ctr] = &[$(Ctr::$variant,)*];
+
+        /// All peak gauges, in definition order.
+        pub const ALL_GAUGES: &[Gauge] = &[$(Gauge::$gvariant,)*];
+    };
+    ($($entries:tt)*) => {
+        define_counters!(@sort [] [] $($entries)*);
     };
 }
 
@@ -253,8 +287,8 @@ define_timers! {
 }
 
 impl Ctr {
-    /// Number of declared counters.
-    pub const COUNT: usize = COUNTER_DEFS.len();
+    /// Number of declared sum counters.
+    pub const COUNT: usize = ALL_CTRS.len();
 
     /// Registry slot of this counter.
     pub fn index(self) -> usize {
@@ -269,6 +303,21 @@ impl Ctr {
     /// All counters, in definition order.
     pub fn all() -> impl Iterator<Item = Ctr> {
         ALL_CTRS.iter().copied()
+    }
+}
+
+impl Gauge {
+    /// Number of declared peak gauges.
+    pub const COUNT: usize = ALL_GAUGES.len();
+
+    /// Registry slot of this gauge (gauges follow every sum counter).
+    pub fn index(self) -> usize {
+        Ctr::COUNT + self as usize
+    }
+
+    /// This gauge's definition.
+    pub fn def(self) -> &'static CounterDef {
+        &COUNTER_DEFS[self.index()]
     }
 }
 
@@ -315,7 +364,7 @@ mod tests {
 
     #[test]
     fn enum_indices_match_defs() {
-        assert_eq!(Ctr::COUNT, COUNTER_DEFS.len());
+        assert_eq!(Ctr::COUNT + Gauge::COUNT, COUNTER_DEFS.len());
         assert_eq!(Tmr::COUNT, TIMER_DEFS.len());
         assert_eq!(Ctr::InterpRuns.index(), 0);
         assert_eq!(
@@ -323,6 +372,13 @@ mod tests {
             "oracle.hard_violations"
         );
         assert_eq!(Tmr::CliCommand.name(), "cli.command");
+        assert_eq!(Gauge::AceFrontierPeak.def().name, "ace.bfs_frontier_peak");
+    }
+
+    #[test]
+    fn combine_rule_follows_the_type() {
+        assert!(ALL_CTRS.iter().all(|c| c.def().combine == Combine::Sum));
+        assert!(ALL_GAUGES.iter().all(|g| g.def().combine == Combine::Max));
     }
 
     #[test]

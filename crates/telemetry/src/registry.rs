@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{Ctr, Tmr};
+use crate::metrics::{Ctr, Gauge, Tmr, COUNTER_DEFS};
 use crate::snapshot::{MetricsSnapshot, TimerSnapshot};
 
 /// Number of log₂-nanosecond histogram buckets. Bucket `i` holds samples
@@ -65,7 +65,7 @@ impl Registry {
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
         Registry {
-            counters: (0..Ctr::COUNT).map(|_| AtomicU64::new(0)).collect(),
+            counters: COUNTER_DEFS.iter().map(|_| AtomicU64::new(0)).collect(),
             timers: (0..Tmr::COUNT).map(|_| TimerCell::new()).collect(),
         }
     }
@@ -75,14 +75,19 @@ impl Registry {
         self.counters[c.index()].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raise a peak gauge to at least `v` (for `Combine::Max` counters).
-    pub fn peak(&self, c: Ctr, v: u64) {
-        self.counters[c.index()].fetch_max(v, Ordering::Relaxed);
+    /// Raise a peak gauge to at least `v`.
+    pub fn peak(&self, g: Gauge, v: u64) {
+        self.counters[g.index()].fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Current value of one counter.
+    /// Current value of one sum counter.
     pub fn get(&self, c: Ctr) -> u64 {
         self.counters[c.index()].load(Ordering::Relaxed)
+    }
+
+    /// Current value of one peak gauge.
+    pub fn gauge(&self, g: Gauge) -> u64 {
+        self.counters[g.index()].load(Ordering::Relaxed)
     }
 
     /// Record one raw nanosecond sample into a timer histogram.
@@ -110,8 +115,9 @@ impl Registry {
     /// campaign, end of harness section).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for c in Ctr::all() {
-            snap.counters.insert(c.def().name.to_string(), self.get(c));
+        for (def, slot) in COUNTER_DEFS.iter().zip(&self.counters) {
+            snap.counters
+                .insert(def.name.to_string(), slot.load(Ordering::Relaxed));
         }
         for t in Tmr::all() {
             let cell = &self.timers[t.index()];
@@ -184,9 +190,9 @@ mod tests {
         r.add(Ctr::DdgNodesCreated, 3);
         r.add(Ctr::DdgNodesCreated, 4);
         assert_eq!(r.get(Ctr::DdgNodesCreated), 7);
-        r.peak(Ctr::AceFrontierPeak, 9);
-        r.peak(Ctr::AceFrontierPeak, 5);
-        assert_eq!(r.get(Ctr::AceFrontierPeak), 9);
+        r.peak(Gauge::AceFrontierPeak, 9);
+        r.peak(Gauge::AceFrontierPeak, 5);
+        assert_eq!(r.gauge(Gauge::AceFrontierPeak), 9);
     }
 
     #[test]
@@ -207,7 +213,7 @@ mod tests {
     #[test]
     fn snapshot_lists_every_counter() {
         let snap = Registry::new().snapshot();
-        assert_eq!(snap.counters.len(), Ctr::COUNT);
+        assert_eq!(snap.counters.len(), COUNTER_DEFS.len());
         assert!(snap.timers.is_empty());
     }
 }

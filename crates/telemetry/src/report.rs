@@ -179,13 +179,13 @@ impl MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Ctr, Tmr};
+    use crate::metrics::{Ctr, Gauge, Tmr};
     use crate::registry::Registry;
 
     fn sample_report() -> MetricsReport {
         let r = Registry::new();
         r.add(Ctr::DdgNodesCreated, 1234);
-        r.peak(Ctr::AceFrontierPeak, 77);
+        r.peak(Gauge::AceFrontierPeak, 77);
         r.record_ns(Tmr::DdgBuild, 1500);
         r.record_ns(Tmr::DdgBuild, 9_000_000);
         MetricsReport::new(r.snapshot())

@@ -289,18 +289,18 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::metrics::{Ctr, Tmr};
+    use crate::metrics::{Ctr, Gauge, Tmr};
     use crate::registry::Registry;
 
     #[test]
     fn merge_sums_and_maxes() {
         let a = Registry::new();
         a.add(Ctr::DdgNodesCreated, 10);
-        a.peak(Ctr::AceFrontierPeak, 4);
+        a.peak(Gauge::AceFrontierPeak, 4);
         a.record_ns(Tmr::DdgBuild, 100);
         let b = Registry::new();
         b.add(Ctr::DdgNodesCreated, 5);
-        b.peak(Ctr::AceFrontierPeak, 9);
+        b.peak(Gauge::AceFrontierPeak, 9);
         b.record_ns(Tmr::DdgBuild, 300);
 
         let mut m = a.snapshot();

@@ -4,7 +4,7 @@
 //! their lines (the NDJSON contract), and documents from any other
 //! schema or version must be rejected, not mis-read.
 
-use epvf_telemetry::{Ctr, MetricsReport, Registry, Tmr, ALL_CTRS, SCHEMA_VERSION};
+use epvf_telemetry::{Gauge, MetricsReport, Registry, Tmr, ALL_CTRS, SCHEMA_VERSION};
 use std::path::PathBuf;
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -18,7 +18,7 @@ fn sample(seed: u64) -> MetricsReport {
     for (i, &c) in ALL_CTRS.iter().enumerate() {
         r.add(c, seed.wrapping_mul(i as u64 + 1) % 10_000);
     }
-    r.peak(Ctr::AceFrontierPeak, seed + 7);
+    r.peak(Gauge::AceFrontierPeak, seed + 7);
     r.record_ns(Tmr::DdgBuild, seed + 1);
     r.record_ns(Tmr::CampaignRun, (seed + 1) * 1_000_000);
     MetricsReport::new(r.snapshot())
