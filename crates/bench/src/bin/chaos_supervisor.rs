@@ -13,9 +13,14 @@
 //! harness where no chaos event ever fired also fails (a vacuous pass
 //! proves nothing). Failed runs leave their WAL/stderr scratch
 //! directories in place for post-mortem (CI uploads them).
+//!
+//! The harness itself runs no campaign, so its report's counters are the
+//! disturbed runs' own: every `run-sharded --metrics-out` document is
+//! parsed with the strict schema parser and folded in with the snapshot
+//! merge.
 
 use epvf_bench::{print_table, timed, HarnessOpts};
-use epvf_telemetry::MetricsReport;
+use epvf_telemetry::{MetricsReport, MetricsSnapshot};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -72,17 +77,18 @@ fn epvf_bin() -> PathBuf {
     }
 }
 
-fn counter(json: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let at = json
-        .find(&key)
-        .unwrap_or_else(|| panic!("{name} missing from metrics"));
-    json[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
+/// Parse every metrics document in a `--metrics-out` file (strict
+/// schema check) and fold them into one snapshot.
+fn read_metrics(path: &Path) -> MetricsSnapshot {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    let mut snap = MetricsSnapshot::default();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let report =
+            MetricsReport::parse(line).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        snap.merge(&report.snapshot);
+    }
+    snap
 }
 
 #[derive(Default)]
@@ -105,6 +111,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut total = Tally::default();
+    let mut folded = MetricsSnapshot::default();
     let mut wall_ms = 0.0;
     for name in TARGETS {
         if opts.only.as_deref().is_some_and(|only| only != name) {
@@ -211,12 +218,13 @@ fn main() {
                     diff.stdout, diff.stderr
                 );
 
-                let json = std::fs::read_to_string(&metrics).expect("metrics file");
-                tally.kills += counter(&json, "supervisor.chaos.kills");
-                tally.stops += counter(&json, "supervisor.chaos.stops");
-                tally.hangs += counter(&json, "supervisor.hangs");
-                tally.crashes += counter(&json, "supervisor.crashes");
-                tally.restarts += counter(&json, "supervisor.restarts");
+                let snap = read_metrics(&metrics);
+                tally.kills += snap.counter("supervisor.chaos.kills");
+                tally.stops += snap.counter("supervisor.chaos.stops");
+                tally.hangs += snap.counter("supervisor.hangs");
+                tally.crashes += snap.counter("supervisor.crashes");
+                tally.restarts += snap.counter("supervisor.restarts");
+                folded.merge(&snap);
                 tally.identical += 1;
                 // This seed recovered: its scratch WALs are not needed.
                 std::fs::remove_dir_all(&work).ok();
@@ -273,7 +281,10 @@ fn main() {
         .metrics_out
         .clone()
         .unwrap_or_else(|| "results/BENCH_chaos_supervisor.json".into());
-    let report = MetricsReport::new(epvf_telemetry::global_snapshot())
+    // The harness's own counters (its `bench.section` timers) join the
+    // disturbed runs' ones.
+    folded.merge(&epvf_telemetry::global_snapshot());
+    let report = MetricsReport::new(folded)
         .with_meta("tool", "epvf-bench")
         .with_meta("harness", "chaos_supervisor")
         .with_meta("git_sha", epvf_bench::git_sha())

@@ -209,7 +209,9 @@ fn write_metrics(path: Option<&std::path::Path>, args: &[String]) -> Result<(), 
 
 /// Validate `--metrics-out` / `BENCH_*.json` artifacts: every line must
 /// parse under the current schema version and satisfy the pipeline's
-/// conservation laws.
+/// conservation laws, and a bench report (`meta.tool == "epvf-bench"`)
+/// must carry at least one non-zero counter — an all-zero report measured
+/// nothing.
 fn cmd_metrics_check(args: &[String]) -> Result<(), CliError> {
     // `--diff-counters PREFIX A B`: compare every counter under PREFIX
     // between two metrics files — the shard-smoke CI gate uses this to
@@ -250,9 +252,22 @@ fn cmd_metrics_check(args: &[String]) -> Result<(), CliError> {
                     bad += 1;
                 }
                 Ok(report) => {
-                    let violations = report.snapshot.check_conservation();
+                    let mut violations: Vec<String> = report
+                        .snapshot
+                        .check_conservation()
+                        .into_iter()
+                        .map(|v| format!("conservation violation: {v}"))
+                        .collect();
+                    if report.meta.get("tool").map(String::as_str) == Some("epvf-bench")
+                        && report.snapshot.counters.values().all(|&v| v == 0)
+                    {
+                        violations.push(format!(
+                            "empty bench report: all {} counters are zero",
+                            report.snapshot.counters.len()
+                        ));
+                    }
                     for v in &violations {
-                        eprintln!("{where_}: conservation violation: {v}");
+                        eprintln!("{where_}: {v}");
                     }
                     if violations.is_empty() {
                         println!(
@@ -459,7 +474,8 @@ usage: epvf <command> [args]
     --ckpt-interval K / --threads T   as for inject
   protect <target> [BUDGET]    ePVF vs hot-path duplication (default 0.24)
   metrics-check <file>...      validate metrics JSON artifacts (schema +
-                               conservation laws); nonzero exit on violation
+                               conservation laws; bench reports need a
+                               non-zero counter); exit 7 on violation
   metrics-check --diff-counters PREFIX A B
                                compare every counter under PREFIX between
                                two metrics files; exit 7 on any difference
@@ -483,7 +499,8 @@ exit codes:
      exit), or hung (stall / deadline kill); the supervisor log line on
      stderr names which
   6  I/O error
-  7  metrics validation failure (schema or conservation law)
+  7  metrics validation failure (schema, conservation law, or a bench
+     report whose counters are all zero)
   8  oracle violation (hard invariant, or replay diverged)
   9  partial sharded campaign: --allow-partial salvaged the completed
      shards plus the failed shard's WAL prefix; the summary and the

@@ -72,20 +72,36 @@ fn analyze_bfs_small_output_is_stable() {
     check_snapshot("analyze-bfs-small.txt", &normalize(&out));
 }
 
+/// Every `inject-small` benchmark target at `:tiny`, with its snapshot.
+const INJECT_TARGETS: [(&str, &str); 6] = [
+    ("bfs:tiny", "inject-bfs-tiny.txt"),
+    ("lud:tiny", "inject-lud-tiny.txt"),
+    ("mm:tiny", "inject-mm-tiny.txt"),
+    ("hotspot:tiny", "inject-hotspot-tiny.txt"),
+    ("srad:tiny", "inject-srad-tiny.txt"),
+    ("pathfinder:tiny", "inject-pathfinder-tiny.txt"),
+];
+
 #[test]
 fn inject_is_byte_stable_across_threads_and_checkpoints() {
-    let base = run_epvf(&["inject", "mm:tiny", "300", "7", "--threads", "1"]);
-    for extra in [
-        vec!["--threads", "4"],
-        vec!["--threads", "3", "--ckpt-interval", "0"],
-        vec!["--threads", "2", "--ckpt-interval", "64"],
-    ] {
-        let mut args = vec!["inject", "mm:tiny", "300", "7"];
-        args.extend(extra.iter());
-        let out = run_epvf(&args);
-        assert_eq!(base, out, "campaign output must not depend on {extra:?}");
+    for (target, snapshot) in INJECT_TARGETS {
+        // No `--ckpt-interval` means the automatic spacing.
+        let base = run_epvf(&["inject", target, "300", "7", "--threads", "1"]);
+        for extra in [
+            vec!["--threads", "2"],
+            vec!["--threads", "4"],
+            vec!["--threads", "3", "--ckpt-interval", "0"],
+            vec!["--threads", "2", "--ckpt-interval", "64"],
+            vec!["--threads", "1", "--ckpt-interval", "0"],
+            vec!["--threads", "3", "--ckpt-interval", "64"],
+        ] {
+            let mut args = vec!["inject", target, "300", "7"];
+            args.extend(extra.iter());
+            let out = run_epvf(&args);
+            assert_eq!(base, out, "{target}: output must not depend on {extra:?}");
+        }
+        check_snapshot(snapshot, &base);
     }
-    check_snapshot("inject-mm-tiny.txt", &base);
 }
 
 #[test]

@@ -163,3 +163,61 @@ fn metrics_check_validates_and_rejects() {
     std::fs::remove_file(&good).ok();
     std::fs::remove_file(&bad).ok();
 }
+
+/// A bench report whose counters are all zero measured nothing and fails
+/// `metrics-check` with exit 7; the same empty snapshot from a plain
+/// `epvf` command (which may legitimately touch no counter) passes, as
+/// does a bench report with one non-zero counter.
+#[test]
+fn metrics_check_rejects_all_zero_bench_reports() {
+    let dir = std::env::temp_dir();
+    let write = |name: &str, report: &MetricsReport| {
+        let path = dir.join(format!("epvf-mc-{name}-{}.json", std::process::id()));
+        report.write_file(&path).expect("writes");
+        path
+    };
+    let check = |path: &PathBuf| {
+        Command::new(env!("CARGO_BIN_EXE_epvf"))
+            .arg("metrics-check")
+            .arg(path)
+            .output()
+            .expect("epvf runs")
+    };
+    let zeros = epvf_telemetry::global_snapshot();
+    assert!(zeros.counters.values().all(|&v| v == 0), "fresh registry");
+
+    let bench_zero = write(
+        "bench-zero",
+        &MetricsReport::new(zeros.clone()).with_meta("tool", "epvf-bench"),
+    );
+    let out = check(&bench_zero);
+    assert_eq!(out.status.code(), Some(7), "all-zero bench report rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("counters are zero"),
+        "names the reason: {stderr}"
+    );
+
+    let cli_zero = write(
+        "cli-zero",
+        &MetricsReport::new(zeros.clone()).with_meta("tool", "epvf"),
+    );
+    assert!(check(&cli_zero).status.success(), "non-bench report passes");
+
+    let mut one = zeros;
+    one.counters.insert("supervisor.spawned".into(), 3);
+    one.counters.insert("supervisor.shards".into(), 3);
+    let bench_one = write(
+        "bench-one",
+        &MetricsReport::new(one).with_meta("tool", "epvf-bench"),
+    );
+    let out = check(&bench_one);
+    assert!(
+        out.status.success(),
+        "bench report with a non-zero counter passes: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for p in [bench_zero, cli_zero, bench_one] {
+        std::fs::remove_file(p).ok();
+    }
+}

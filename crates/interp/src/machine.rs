@@ -470,7 +470,6 @@ struct Frame {
     block: usize,
     ip: usize,
     regs: Vec<u64>,
-    dynid: Vec<DynValueId>,
     sp: u64,
     /// Caller register that receives our return value.
     ret_to: Option<ValueId>,
@@ -492,7 +491,6 @@ pub struct Snapshot {
     outputs: Vec<u64>,
     output_tys: Vec<Type>,
     dyn_count: u64,
-    next_dyn: u64,
     global_addrs: Vec<u64>,
 }
 
@@ -543,11 +541,20 @@ struct Exec<'m, 'r> {
     config: ExecConfig,
     mem: SimMemory,
     frames: Vec<Frame>,
+    /// The dynamic-id shadow of the register file, one vector per entry
+    /// of `frames`: which [`DynValueId`] each register currently holds.
+    /// Only the trace needs it, so it is kept on traced runs alone;
+    /// untraced runs (every injected run and the checkpoint pass) leave it
+    /// and `next_dyn` untouched, and snapshots do not carry it.
+    dynids: Vec<Vec<DynValueId>>,
+    /// Next fresh dynamic id (traced runs only).
+    next_dyn: u64,
     outputs: Vec<u64>,
     output_tys: Vec<Type>,
     trace: Trace,
     dyn_count: u64,
-    next_dyn: u64,
+    /// Reused buffer for `exec_phis`' parallel assignment.
+    phi_scratch: Vec<(ValueId, u64)>,
     injection: Option<MachineFault>,
     /// Pending at-rest ECC error planted by a fired `EccFlip`, resolved by
     /// consumption, overwrite, or scrub-window expiry.
@@ -599,11 +606,13 @@ impl<'m, 'r> Exec<'m, 'r> {
             config,
             mem: SimMemory::new(config.mem),
             frames: Vec::new(),
+            dynids: Vec::new(),
+            next_dyn: 0,
             outputs: Vec::new(),
             output_tys: Vec::new(),
             trace: Trace::default(),
             dyn_count: 0,
-            next_dyn: 0,
+            phi_scratch: Vec::new(),
             injection,
             ecc: None,
             global_addrs: Vec::new(),
@@ -635,11 +644,13 @@ impl<'m, 'r> Exec<'m, 'r> {
             config,
             mem: snap.mem.clone(),
             frames: snap.frames.clone(),
+            dynids: Vec::new(),
+            next_dyn: 0,
             outputs: snap.outputs.clone(),
             output_tys: snap.output_tys.clone(),
             trace: Trace::default(),
             dyn_count: snap.dyn_count,
-            next_dyn: snap.next_dyn,
+            phi_scratch: Vec::new(),
             injection,
             ecc: None,
             global_addrs: snap.global_addrs.clone(),
@@ -663,17 +674,17 @@ impl<'m, 'r> Exec<'m, 'r> {
             outputs: self.outputs.clone(),
             output_tys: self.output_tys.clone(),
             dyn_count: self.dyn_count,
-            next_dyn: self.next_dyn,
             global_addrs: self.global_addrs.clone(),
         }
     }
 
     /// Whether the live state is identical to `snap` (same position, stack,
     /// memory, outputs). If so, the deterministic remainder of this run is
-    /// bit-identical to the run the snapshot came from.
+    /// bit-identical to the run the snapshot came from. Dynamic ids are not
+    /// part of the comparison: they only label trace records and never
+    /// feed execution, and rendezvous runs are untraced.
     fn state_matches(&self, snap: &Snapshot) -> bool {
         self.dyn_count == snap.dyn_count
-            && self.next_dyn == snap.next_dyn
             && self.outputs == snap.outputs
             && self.output_tys == snap.output_tys
             && self.global_addrs == snap.global_addrs
@@ -711,18 +722,22 @@ impl<'m, 'r> Exec<'m, 'r> {
         // Entry frame.
         let sp = self.mem.stack_top() - FRAME_OVERHEAD;
         let mut regs = vec![0u64; func.n_values() as usize];
-        let mut dynid = vec![DynValueId(u64::MAX); func.n_values() as usize];
         for (i, a) in args.iter().enumerate() {
             let ty = func.value_types[i];
             regs[i] = ty.truncate_payload(*a);
-            dynid[i] = self.fresh_dyn();
+        }
+        if self.config.record_trace {
+            let mut ids = vec![DynValueId(u64::MAX); func.n_values() as usize];
+            for id in &mut ids[..args.len()] {
+                *id = self.fresh_dyn();
+            }
+            self.dynids.push(ids);
         }
         self.frames.push(Frame {
             func: func.id,
             block: 0,
             ip: 0,
             regs,
-            dynid,
             sp,
             ret_to: None,
         });
@@ -928,18 +943,18 @@ impl<'m, 'r> Exec<'m, 'r> {
                 }
                 Flow::Return(val) => {
                     let done = self.frames.pop().expect("frame exists");
+                    self.dynids.pop();
                     if self.frames.is_empty() {
                         return End::Outcome(Outcome::Completed);
                     }
                     if let Some(ret_reg) = done.ret_to {
                         let (bits, src) = val.unwrap_or((0, None));
-                        let id = match src {
-                            Some(id) => id,
-                            None => self.fresh_dyn(),
-                        };
                         let caller = self.frames.last_mut().expect("frame exists");
                         caller.regs[ret_reg.index()] = bits;
-                        caller.dynid[ret_reg.index()] = id;
+                        if self.config.record_trace {
+                            let id = src.unwrap_or_else(|| self.fresh_dyn());
+                            self.set_dynid(ret_reg, id);
+                        }
                     }
                     let caller = self.frames.last_mut().expect("frame exists");
                     caller.ip += 1;
@@ -960,8 +975,11 @@ impl<'m, 'r> Exec<'m, 'r> {
             (frame.func, frame.block)
         };
         let block = &module.functions[func_id.index()].blocks[block_idx];
+        let tracing = self.config.record_trace;
 
-        let mut staged: Vec<(ValueId, u64, &'m Inst, Value)> = Vec::new();
+        // A run ending mid-batch drops the buffer; it has no further use.
+        let mut staged = std::mem::take(&mut self.phi_scratch);
+        staged.clear();
         for inst in &block.insts {
             let Op::Phi { incomings, .. } = &inst.op else {
                 break;
@@ -981,9 +999,10 @@ impl<'m, 'r> Exec<'m, 'r> {
             }
             let dyn_idx = self.dyn_count;
             self.dyn_count += 1;
-            let (bits, src) = self.read_operand(dyn_idx, 0, taken);
+            let bits = self.read_operand(dyn_idx, 0, taken);
             let result = inst.result.expect("phi defines");
-            if self.config.record_trace {
+            if tracing {
+                let src = self.src_of(taken);
                 self.trace.records.push(DynInst {
                     idx: dyn_idx,
                     sid: inst.sid,
@@ -997,43 +1016,43 @@ impl<'m, 'r> Exec<'m, 'r> {
                     mem: None,
                 });
             }
-            staged.push((result, bits, inst, taken));
+            staged.push((result, bits));
         }
         // Commit after all reads (parallel-assignment semantics).
         let n = staged.len();
-        for (i, (reg, mut bits, _inst, _taken)) in staged.into_iter().enumerate() {
+        for (i, &(reg, mut bits)) in staged.iter().enumerate() {
             if let Some(f) = self.injection {
                 let this_dyn = self.dyn_count - n as u64 + i as u64;
                 if let FaultEffect::ResultXor { mask } = f.effect {
                     if f.dyn_idx == this_dyn {
-                        let frame = self.frames.last().expect("frame exists");
-                        let ty = self.module.functions[frame.func.index()].value_types[reg.index()];
+                        let ty = module.functions[func_id.index()].value_types[reg.index()];
                         bits = ty.truncate_payload(bits ^ mask);
                     }
                 }
             }
-            let id = self.fresh_dyn();
             let frame = self.frames.last_mut().expect("frame exists");
             frame.regs[reg.index()] = bits;
-            frame.dynid[reg.index()] = id;
-            if self.config.record_trace {
+            if tracing {
+                let id = self.fresh_dyn();
+                self.set_dynid(reg, id);
                 let ridx = self.trace.records.len() - n + i;
                 self.trace.records[ridx].result = Some((reg, bits, id));
             }
         }
+        self.phi_scratch = staged;
         let frame = self.frames.last_mut().expect("frame exists");
         frame.ip += n;
         None
     }
 
     /// Read one operand, applying the injection if this (dyn, slot) is the
-    /// target. Returns the (possibly corrupted) bits and the dynamic source.
-    fn read_operand(&mut self, dyn_idx: u64, slot: usize, v: Value) -> (u64, Option<DynValueId>) {
+    /// target. Returns the (possibly corrupted) bits.
+    fn read_operand(&self, dyn_idx: u64, slot: usize, v: Value) -> u64 {
         let frame = self.frames.last().expect("frame exists");
-        let (mut bits, src) = match v {
-            Value::Reg(r) => (frame.regs[r.index()], Some(frame.dynid[r.index()])),
-            Value::ConstInt { bits, .. } | Value::ConstFloat { bits, .. } => (bits, None),
-            Value::Global(g) => (self.global_addrs[g.index()], None),
+        let mut bits = match v {
+            Value::Reg(r) => frame.regs[r.index()],
+            Value::ConstInt { bits, .. } | Value::ConstFloat { bits, .. } => bits,
+            Value::Global(g) => self.global_addrs[g.index()],
         };
         if let Some(f) = self.injection {
             if let FaultEffect::OperandXor { slot: s, mask } = f.effect {
@@ -1042,7 +1061,22 @@ impl<'m, 'r> Exec<'m, 'r> {
                 }
             }
         }
-        (bits, src)
+        bits
+    }
+
+    /// The dynamic value an operand reads: the register's current id from
+    /// the shadow, `None` for constants and globals. Traced runs only.
+    fn src_of(&self, v: Value) -> Option<DynValueId> {
+        match v {
+            Value::Reg(r) => Some(self.dynids.last().expect("traced frame")[r.index()]),
+            _ => None,
+        }
+    }
+
+    /// Record that `reg` of the current frame now holds dynamic value `id`
+    /// (traced runs only).
+    fn set_dynid(&mut self, reg: ValueId, id: DynValueId) {
+        self.dynids.last_mut().expect("traced frame")[reg.index()] = id;
     }
 
     /// Whether the injected fault is `effect`-shaped and targets `dyn_idx`.
@@ -1148,11 +1182,11 @@ impl<'m, 'r> Exec<'m, 'r> {
 
         macro_rules! read {
             ($slot:expr, $v:expr) => {{
-                let (bits, src) = self.read_operand(dyn_idx, $slot, $v);
+                let bits = self.read_operand(dyn_idx, $slot, $v);
                 if tracing {
-                    record(&mut rec_ops, $v, bits, src);
+                    record(&mut rec_ops, $v, bits, self.src_of($v));
                 }
-                (bits, src)
+                bits
             }};
         }
 
@@ -1161,11 +1195,11 @@ impl<'m, 'r> Exec<'m, 'r> {
 
         let flow: Flow = match &inst.op {
             Op::Bin { op, ty, a, b } => {
-                let (av, _) = read!(0, *a);
-                let (bv, _) = read!(1, *b);
+                let av = read!(0, *a);
+                let bv = read!(1, *b);
                 match eval_bin(*op, *ty, av, bv) {
                     Ok(v) => {
-                        result = Some(self.define(inst, v));
+                        result = self.define(inst, v);
                         Flow::Next
                     }
                     Err(kind) => Flow::Stop(Outcome::Crashed {
@@ -1175,30 +1209,30 @@ impl<'m, 'r> Exec<'m, 'r> {
                 }
             }
             Op::FBin { op, ty, a, b } => {
-                let (av, _) = read!(0, *a);
-                let (bv, _) = read!(1, *b);
+                let av = read!(0, *a);
+                let bv = read!(1, *b);
                 let v = eval_fbin(*op, *ty, av, bv);
-                result = Some(self.define(inst, v));
+                result = self.define(inst, v);
                 Flow::Next
             }
             Op::FUn { op, ty, a } => {
-                let (av, _) = read!(0, *a);
+                let av = read!(0, *a);
                 let v = eval_fun(*op, *ty, av);
-                result = Some(self.define(inst, v));
+                result = self.define(inst, v);
                 Flow::Next
             }
             Op::Icmp { pred, ty, a, b } => {
-                let (av, _) = read!(0, *a);
-                let (bv, _) = read!(1, *b);
+                let av = read!(0, *a);
+                let bv = read!(1, *b);
                 let v = eval_icmp(*pred, *ty, av, bv) as u64;
-                result = Some(self.define(inst, v));
+                result = self.define(inst, v);
                 Flow::Next
             }
             Op::Fcmp { pred, ty, a, b } => {
-                let (av, _) = read!(0, *a);
-                let (bv, _) = read!(1, *b);
+                let av = read!(0, *a);
+                let bv = read!(1, *b);
                 let v = eval_fcmp(*pred, *ty, av, bv) as u64;
-                result = Some(self.define(inst, v));
+                result = self.define(inst, v);
                 Flow::Next
             }
             Op::Cast {
@@ -1207,22 +1241,22 @@ impl<'m, 'r> Exec<'m, 'r> {
                 to_ty,
                 a,
             } => {
-                let (av, _) = read!(0, *a);
+                let av = read!(0, *a);
                 let v = eval_cast(*op, *from_ty, *to_ty, av);
-                result = Some(self.define(inst, v));
+                result = self.define(inst, v);
                 Flow::Next
             }
             Op::Select { cond, a, b, .. } => {
-                let (cv, _) = read!(0, *cond);
-                let (av, _) = read!(1, *a);
-                let (bv, _) = read!(2, *b);
+                let cv = read!(0, *cond);
+                let av = read!(1, *a);
+                let bv = read!(2, *b);
                 let v = if cv & 1 == 1 { av } else { bv };
-                result = Some(self.define(inst, v));
+                result = self.define(inst, v);
                 Flow::Next
             }
             Op::Phi { .. } => unreachable!("phis are executed by exec_phis"),
             Op::Load { ty, addr } => {
-                let (mut ap, _) = read!(0, *addr);
+                let mut ap = read!(0, *addr);
                 if let Some(FaultEffect::AddrXor { mask }) = self.fault_at(dyn_idx) {
                     ap ^= mask;
                 }
@@ -1248,7 +1282,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                                     map: self.map_snapshot(),
                                 });
                             }
-                            result = Some(self.define(inst, v));
+                            result = self.define(inst, v);
                             Flow::Next
                         }
                         Err(e) => Flow::Stop(Outcome::Crashed {
@@ -1259,8 +1293,8 @@ impl<'m, 'r> Exec<'m, 'r> {
                 }
             }
             Op::Store { ty, val, addr } => {
-                let (vv, _) = read!(0, *val);
-                let (mut ap, _) = read!(1, *addr);
+                let vv = read!(0, *val);
+                let mut ap = read!(1, *addr);
                 if let Some(FaultEffect::AddrXor { mask }) = self.fault_at(dyn_idx) {
                     ap ^= mask;
                 }
@@ -1306,7 +1340,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                 frame.sp = new_sp;
                 match self.mem.grow_stack_to(new_sp) {
                     Ok(()) => {
-                        result = Some(self.define(inst, new_sp));
+                        result = self.define(inst, new_sp);
                         Flow::Next
                     }
                     Err(e) => Flow::Stop(Outcome::Crashed {
@@ -1320,20 +1354,20 @@ impl<'m, 'r> Exec<'m, 'r> {
                 index,
                 elem_size,
             } => {
-                let (bv, _) = read!(0, *base);
-                let (iv, src) = read!(1, *index);
+                let bv = read!(0, *base);
+                let iv = read!(1, *index);
                 // Index is sign-extended from its own type.
-                let ity = self.operand_ty(*index, src);
+                let ity = self.operand_ty(*index);
                 let idx = ity.sign_extend(iv);
                 let v = bv.wrapping_add((*elem_size as i64).wrapping_mul(idx) as u64);
-                result = Some(self.define(inst, v));
+                result = self.define(inst, v);
                 Flow::Next
             }
             Op::Malloc { size } => {
-                let (sv, _) = read!(0, *size);
+                let sv = read!(0, *size);
                 match self.mem.malloc(sv) {
                     Ok(p) => {
-                        result = Some(self.define(inst, p));
+                        result = self.define(inst, p);
                         Flow::Next
                     }
                     Err(e) => Flow::Stop(Outcome::Crashed {
@@ -1343,7 +1377,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                 }
             }
             Op::Free { ptr } => {
-                let (pv, _) = read!(0, *ptr);
+                let pv = read!(0, *ptr);
                 match self.mem.free(pv) {
                     Ok(()) => Flow::Next,
                     Err(e) => Flow::Stop(Outcome::Crashed {
@@ -1355,15 +1389,16 @@ impl<'m, 'r> Exec<'m, 'r> {
             Op::Call { callee, args } => {
                 let cf = &self.module.functions[callee.index()];
                 let mut regs = vec![0u64; cf.n_values() as usize];
-                let mut dynid = vec![DynValueId(u64::MAX); cf.n_values() as usize];
                 for (i, a) in args.iter().enumerate() {
-                    let (bits, src) = read!(i, *a);
-                    regs[i] = bits;
-                    dynid[i] = match src {
-                        Some(id) => id,
-                        None => self.fresh_dyn(),
-                    };
+                    regs[i] = read!(i, *a);
                 }
+                let ids = tracing.then(|| {
+                    let mut ids = vec![DynValueId(u64::MAX); cf.n_values() as usize];
+                    for (id, a) in ids.iter_mut().zip(args) {
+                        *id = self.src_of(*a).unwrap_or_else(|| self.fresh_dyn());
+                    }
+                    ids
+                });
                 let caller_sp = self.frames.last().expect("frame exists").sp;
                 let sp = caller_sp - FRAME_OVERHEAD;
                 if let Err(e) = self.mem.grow_stack_to(sp) {
@@ -1377,10 +1412,10 @@ impl<'m, 'r> Exec<'m, 'r> {
                     block: 0,
                     ip: 0,
                     regs,
-                    dynid,
                     sp,
                     ret_to: inst.result,
                 });
+                self.dynids.extend(ids);
                 Flow::Enter
             }
             Op::Br { target } => Flow::Jump(target.index()),
@@ -1389,7 +1424,7 @@ impl<'m, 'r> Exec<'m, 'r> {
                 then_bb,
                 else_bb,
             } => {
-                let (cv, _) = read!(0, *cond);
+                let cv = read!(0, *cond);
                 let mut taken = cv & 1 == 1;
                 if matches!(self.fault_at(dyn_idx), Some(FaultEffect::FlipBranch)) {
                     taken = !taken;
@@ -1402,20 +1437,20 @@ impl<'m, 'r> Exec<'m, 'r> {
             }
             Op::Ret { val } => match val {
                 Some(v) => {
-                    let (bits, src) = read!(0, *v);
-                    Flow::Return(Some((bits, src)))
+                    let bits = read!(0, *v);
+                    Flow::Return(Some((bits, if tracing { self.src_of(*v) } else { None })))
                 }
                 None => Flow::Return(None),
             },
             Op::Output { ty, val } => {
-                let (bits, _) = read!(0, *val);
+                let bits = read!(0, *val);
                 self.outputs.push(bits);
                 self.output_tys.push(*ty);
                 Flow::Next
             }
             Op::Detect => Flow::Stop(Outcome::Detected),
             Op::DetectIf { cond } => {
-                let (cv, _) = read!(0, *cond);
+                let cv = read!(0, *cond);
                 let mut fire = cv & 1 == 1;
                 if matches!(self.fault_at(dyn_idx), Some(FaultEffect::FlipBranch)) {
                     fire = !fire;
@@ -1442,11 +1477,11 @@ impl<'m, 'r> Exec<'m, 'r> {
     }
 
     /// Bind an instruction result: truncate to the result type, apply any
-    /// result-targeted fault, assign a fresh dynamic id, store into the
-    /// frame.
-    fn define(&mut self, inst: &Inst, raw: u64) -> (ValueId, u64, DynValueId) {
+    /// result-targeted fault, store into the frame. On traced runs, also
+    /// assign a fresh dynamic id and return the trace record's result.
+    fn define(&mut self, inst: &Inst, raw: u64) -> Option<(ValueId, u64, DynValueId)> {
         let reg = inst.result.expect("instruction defines a value");
-        let frame = self.frames.last().expect("frame exists");
+        let frame = self.frames.last_mut().expect("frame exists");
         let ty = self.module.functions[frame.func.index()].value_types[reg.index()];
         let mut bits = ty.truncate_payload(raw);
         if let Some(f) = self.injection {
@@ -1457,11 +1492,13 @@ impl<'m, 'r> Exec<'m, 'r> {
                 }
             }
         }
-        let id = self.fresh_dyn();
-        let frame = self.frames.last_mut().expect("frame exists");
         frame.regs[reg.index()] = bits;
-        frame.dynid[reg.index()] = id;
-        (reg, bits, id)
+        if !self.config.record_trace {
+            return None;
+        }
+        let id = self.fresh_dyn();
+        self.set_dynid(reg, id);
+        Some((reg, bits, id))
     }
 
     /// Shared snapshot of the current memory map, re-cloned only when the
@@ -1481,7 +1518,7 @@ impl<'m, 'r> Exec<'m, 'r> {
         }
     }
 
-    fn operand_ty(&self, v: Value, _src: Option<DynValueId>) -> Type {
+    fn operand_ty(&self, v: Value) -> Type {
         match v {
             Value::Reg(r) => {
                 let frame = self.frames.last().expect("frame exists");

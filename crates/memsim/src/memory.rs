@@ -14,6 +14,7 @@
 use crate::fault::AccessError;
 use crate::vma::{MemoryMap, SegmentKind, Vma};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Simulated page size.
@@ -38,6 +39,32 @@ pub const HEAP_BASE: u64 = 0x0200_0000;
 pub const HEAP_SPAN: u64 = 0x2000_0000; // 512 MiB
 /// Default top of the stack (exclusive).
 pub const STACK_TOP: u64 = 0x7FFF_FFFF_F000;
+
+type Page = [u8; PAGE_SIZE as usize];
+
+/// Hasher for the page table's keys. They are page-aligned addresses, so
+/// one multiply by an odd constant and an xor-shift spread them over the
+/// buckets; SipHash's flooding resistance buys nothing for keys the
+/// simulator itself computes.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let x = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// How strictly memory accesses must be aligned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,8 +157,9 @@ pub struct SimMemory {
     config: MemConfig,
     /// Resident pages. Pages are `Arc`'d so cloning the whole space (for a
     /// checkpoint) is O(resident pages) pointer bumps; writes go through
-    /// `Arc::make_mut`, copying a page only when it is shared.
-    pages: HashMap<u64, Arc<[u8; PAGE_SIZE as usize]>>,
+    /// `Arc::make_mut`, copying a page only when it is shared. Keyed by
+    /// page base address.
+    pages: HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
     map: MemoryMap,
     /// Bumped every time `map` changes; lets callers cache derived data
     /// (e.g. a shared snapshot of the map) instead of re-cloning per access.
@@ -185,7 +213,7 @@ impl SimMemory {
         ]);
         SimMemory {
             config,
-            pages: HashMap::new(),
+            pages: HashMap::default(),
             map,
             map_version: 0,
             brk: heap_base,
@@ -424,31 +452,48 @@ impl SimMemory {
     // ----- data access -----
 
     /// Read `size ∈ {1,2,4,8}` bytes, little-endian, after validating the
-    /// access.
+    /// access. An access within one page costs one page lookup; only a
+    /// page-straddling access goes byte by byte.
     ///
     /// # Errors
     /// Propagates the fault from [`Self::check_access`].
     pub fn read(&mut self, addr: u64, size: u64, sp: u64) -> Result<u64, AccessError> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         self.check_access(addr, size, sp)?;
-        let mut out = 0u64;
-        for i in 0..size {
-            out |= (self.peek_byte(addr + i) as u64) << (8 * i);
+        let (page, off) = split(addr);
+        let n = size as usize;
+        if off + n > PAGE_SIZE as usize {
+            let mut out = 0u64;
+            for i in 0..size {
+                out |= (self.peek_byte(addr + i) as u64) << (8 * i);
+            }
+            return Ok(out);
         }
-        Ok(out)
+        let mut bytes = [0u8; 8];
+        if let Some(p) = self.pages.get(&page) {
+            bytes[..n].copy_from_slice(&p[off..off + n]);
+        }
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// Write `size ∈ {1,2,4,8}` bytes, little-endian, after validating the
-    /// access.
+    /// access. Like [`Self::read`], one page lookup unless the access
+    /// straddles a page boundary.
     ///
     /// # Errors
     /// Propagates the fault from [`Self::check_access`].
     pub fn write(&mut self, addr: u64, size: u64, value: u64, sp: u64) -> Result<(), AccessError> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8), "bad access size {size}");
         self.check_access(addr, size, sp)?;
-        for i in 0..size {
-            self.poke_byte(addr + i, (value >> (8 * i)) as u8);
+        let (page, off) = split(addr);
+        let n = size as usize;
+        if off + n > PAGE_SIZE as usize {
+            for i in 0..size {
+                self.poke_byte(addr + i, (value >> (8 * i)) as u8);
+            }
+            return Ok(());
         }
+        self.page_mut(page)[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
         Ok(())
     }
 
@@ -465,15 +510,21 @@ impl SimMemory {
     }
 
     fn peek_byte(&self, addr: u64) -> u8 {
-        let page = addr & !(PAGE_SIZE - 1);
+        let (page, off) = split(addr);
         match self.pages.get(&page) {
-            Some(p) => p[(addr - page) as usize],
+            Some(p) => p[off],
             None => 0,
         }
     }
 
     fn poke_byte(&mut self, addr: u64, v: u8) {
-        let page = addr & !(PAGE_SIZE - 1);
+        let (page, off) = split(addr);
+        self.page_mut(page)[off] = v;
+    }
+
+    /// The writable page at base address `page`: materialized (zeroed) on
+    /// first write, copied first if a snapshot still shares it.
+    fn page_mut(&mut self, page: u64) -> &mut Page {
         let p = match self.pages.entry(page) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let p = e.into_mut();
@@ -487,13 +538,20 @@ impl SimMemory {
                 e.insert(Arc::new([0u8; PAGE_SIZE as usize]))
             }
         };
-        Arc::make_mut(p)[(addr - page) as usize] = v;
+        Arc::make_mut(p)
     }
 
     /// Number of materialized pages (memory footprint diagnostics).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
+}
+
+/// Split an address into its page's base address and the offset within
+/// the page.
+fn split(addr: u64) -> (u64, usize) {
+    let off = addr & (PAGE_SIZE - 1);
+    (addr - off, off as usize)
 }
 
 impl Default for SimMemory {

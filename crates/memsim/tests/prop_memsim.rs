@@ -1,8 +1,106 @@
 //! Property tests for the simulated memory: data integrity, fault-decision
-//! consistency, and stack-rule monotonicity.
+//! consistency, stack-rule monotonicity, and equality of the page-at-a-time
+//! access path with a bytewise reference model.
 
-use epvf_memsim::{AccessError, MemConfig, SimMemory, PAGE_SIZE, STACK_GUARD_WINDOW};
+use epvf_memsim::{
+    AccessError, AlignmentPolicy, MemConfig, MemStats, SimMemory, PAGE_SIZE, STACK_GUARD_WINDOW,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::rc::Rc;
+
+/// Bytewise reference for `SimMemory::read`/`write`. Fault decisions come
+/// from a checker space's public `check_access`; data lives in its own
+/// copy-on-write page table, accessed one byte at a time, counting
+/// materializations and shared-page copies per page as the real space
+/// documents.
+#[derive(Clone)]
+struct RefMem {
+    checker: SimMemory,
+    pages: HashMap<u64, Rc<Vec<u8>>>,
+    cow_page_copies: u64,
+    pages_materialized: u64,
+}
+
+impl RefMem {
+    fn new(checker: SimMemory) -> Self {
+        RefMem {
+            checker,
+            pages: HashMap::new(),
+            cow_page_copies: 0,
+            pages_materialized: 0,
+        }
+    }
+
+    fn read(&mut self, addr: u64, size: u64, sp: u64) -> Result<u64, AccessError> {
+        self.checker.check_access(addr, size, sp)?;
+        let mut out = 0u64;
+        for i in 0..size {
+            let a = addr + i;
+            let byte = self
+                .pages
+                .get(&(a / PAGE_SIZE))
+                .map_or(0, |p| p[(a % PAGE_SIZE) as usize]);
+            out |= u64::from(byte) << (8 * i);
+        }
+        Ok(out)
+    }
+
+    fn write(&mut self, addr: u64, size: u64, value: u64, sp: u64) -> Result<(), AccessError> {
+        self.checker.check_access(addr, size, sp)?;
+        for i in 0..size {
+            let a = addr + i;
+            let page = match self.pages.get_mut(&(a / PAGE_SIZE)) {
+                Some(p) => {
+                    if Rc::strong_count(p) > 1 {
+                        self.cow_page_copies += 1;
+                    }
+                    p
+                }
+                None => {
+                    self.pages_materialized += 1;
+                    self.pages
+                        .entry(a / PAGE_SIZE)
+                        .or_insert_with(|| Rc::new(vec![0; PAGE_SIZE as usize]))
+                }
+            };
+            Rc::make_mut(page)[(a % PAGE_SIZE) as usize] = (value >> (8 * i)) as u8;
+        }
+        Ok(())
+    }
+
+    fn stats(&self) -> MemStats {
+        MemStats {
+            fault_checks: self.checker.stats().fault_checks,
+            cow_page_copies: self.cow_page_copies,
+            pages_materialized: self.pages_materialized,
+        }
+    }
+}
+
+/// One step of a random access sequence: `(kind, size, page, offset,
+/// value)`. Kind 0–4 reads, 5–8 writes, 9 clones the space (kept alive
+/// so its pages stay shared). Every third offset lands within 8 bytes of
+/// a page edge so straddling accesses are frequent.
+type Step = (u8, u64, u64, u64, u64);
+
+fn step() -> impl Strategy<Value = Step> {
+    (
+        0u8..10,
+        prop::sample::select(vec![1u64, 2, 4, 8]),
+        0u64..4,
+        0u64..3 * PAGE_SIZE,
+        any::<u64>(),
+    )
+        .prop_map(|(kind, size, page, off, value)| {
+            let off = if off % 3 == 0 {
+                (page * PAGE_SIZE + PAGE_SIZE - 8 + off % 16) % (4 * PAGE_SIZE)
+            } else {
+                off
+            };
+            (kind, size, page, off, value)
+        })
+}
 
 proptest! {
     /// Any sequence of in-bounds writes reads back exactly (last write per
@@ -99,5 +197,56 @@ proptest! {
         let wild = mem.read(0x7700_0000_0000, 8, sp);
         let segfaulted = matches!(wild, Err(AccessError::Segfault { .. }));
         prop_assert!(segfaulted, "wild read must segfault, got {:?}", wild);
+    }
+
+    /// The page-at-a-time `read`/`write` equal a bytewise reference in
+    /// values, errors and every `MemStats` field, across page-straddling
+    /// accesses, both alignment policies, snapshot clones and accesses that
+    /// run off the end of the heap.
+    #[test]
+    fn page_path_matches_bytewise_reference(
+        steps in prop::collection::vec(step(), 1..120),
+        permissive in any::<bool>(),
+        switch_to_clone in any::<bool>(),
+    ) {
+        let alignment = if permissive { AlignmentPolicy::None } else { AlignmentPolicy::FourByte };
+        let mut mem = SimMemory::new(MemConfig { alignment, ..MemConfig::default() });
+        // Three heap pages; the fourth page lies past the break and faults.
+        let base = mem.malloc(3 * PAGE_SIZE - 16).expect("allocates");
+        let base = base & !(PAGE_SIZE - 1);
+        let sp = mem.stack_top();
+        let mut model = RefMem::new(mem.clone());
+        let mut held = Vec::new();
+        for (kind, size, _page, off, value) in steps {
+            let addr = base + off;
+            match kind {
+                0..=4 => {
+                    let got = mem.read(addr, size, sp);
+                    let want = model.read(addr, size, sp);
+                    prop_assert_eq!(got, want, "read {:#x}/{}", addr, size);
+                }
+                5..=8 => {
+                    let got = mem.write(addr, size, value, sp);
+                    let want = model.write(addr, size, value, sp);
+                    prop_assert_eq!(got, want, "write {:#x}/{}", addr, size);
+                }
+                _ => {
+                    let (snap, snap_model) = (mem.clone(), model.clone());
+                    if switch_to_clone {
+                        held.push((std::mem::replace(&mut mem, snap), std::mem::replace(&mut model, snap_model)));
+                    } else {
+                        held.push((snap, snap_model));
+                    }
+                }
+            }
+            prop_assert_eq!(mem.stats(), model.stats());
+        }
+        for (snap, mut snap_model) in held {
+            let mut snap = snap;
+            for off in (0..3 * PAGE_SIZE).step_by(8) {
+                prop_assert_eq!(snap.read(base + off, 8, sp), snap_model.read(base + off, 8, sp));
+            }
+            prop_assert_eq!(snap.stats(), snap_model.stats());
+        }
     }
 }
