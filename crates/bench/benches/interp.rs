@@ -21,14 +21,15 @@ fn bench_interp(c: &mut Criterion) {
     g.bench_function("injected_run/mm_tiny", |b| {
         b.iter(|| {
             interp
-                .run_injected(
+                .run_fault(
                     "main",
                     &w.args,
                     InjectionSpec {
                         dyn_idx: golden.dyn_insts / 2,
                         operand_slot: 0,
                         bit: 3,
-                    },
+                    }
+                    .into(),
                 )
                 .expect("runs")
         })

@@ -60,14 +60,15 @@ fn main() {
             }
             cases += 1;
             let fi = interp
-                .run_injected(
+                .run_fault(
                     "main",
                     &[],
                     InjectionSpec {
                         dyn_idx: rec.idx,
                         operand_slot: slot,
                         bit,
-                    },
+                    }
+                    .into(),
                 )
                 .expect("runs");
             let crashed = fi.outcome.is_crash();

@@ -56,7 +56,7 @@ fn main() {
             let (mut crash, mut sdc, mut benign) = (0usize, 0usize, 0usize);
             for s in specs {
                 let r = interp
-                    .run_injected_multibit(Workload::ENTRY, &w.args, *s)
+                    .run_fault(Workload::ENTRY, &w.args, (*s).into())
                     .expect("runs");
                 match r.outcome {
                     Outcome::Crashed { .. } => crash += 1,

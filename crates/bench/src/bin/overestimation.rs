@@ -52,7 +52,7 @@ fn main() {
             (0usize, 0, 0, 0, 0, 0);
         for s in &specs {
             let r = traced
-                .run_injected(Workload::ENTRY, &w.args, *s)
+                .run_fault(Workload::ENTRY, &w.args, (*s).into())
                 .expect("runs");
             match r.outcome {
                 Outcome::Crashed { .. }

@@ -27,8 +27,8 @@ use epvf_core::{
 use epvf_interp::{ExecConfig, Interpreter};
 use epvf_ir::{parse_module, Module};
 use epvf_llfi::{
-    wal_fingerprint_adaptive_model, wal_fingerprint_model, Campaign, CampaignConfig, RunSession,
-    SamplerConfig, WalError, WalSink,
+    wal_fingerprint_adaptive, Campaign, CampaignConfig, RunSession, SamplerConfig, ShardSpec,
+    WalError,
 };
 use epvf_oracle::{
     calibrate, differential_check, hard_invariant_scan, outcome_label, parse_repro, replay_repro,
@@ -39,6 +39,7 @@ use epvf_telemetry::{MetricsReport, Progress};
 use epvf_workloads::{by_name, extended_suite, Scale, Workload};
 use std::process::ExitCode;
 
+mod plan;
 mod run_sharded;
 mod serve;
 mod sharding;
@@ -682,6 +683,15 @@ struct InjectOpts {
     model: Option<std::sync::Arc<dyn FaultModel>>,
 }
 
+impl InjectOpts {
+    /// The `--fault-model`, or the default single-bit flip.
+    fn model(&self) -> std::sync::Arc<dyn FaultModel> {
+        self.model
+            .clone()
+            .unwrap_or_else(epvf_core::default_fault_model)
+    }
+}
+
 fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), CliError> {
     let mut config = CampaignConfig::default();
     let mut opts = InjectOpts {
@@ -696,75 +706,47 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
     let mut positional: Vec<&String> = Vec::new();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-        };
-        let bad = |what: &str| CliError::usage(format!("bad {what}"));
+        let it = &mut it;
         match a.as_str() {
             "--ckpt-interval" => {
-                let k: u64 = value("--ckpt-interval")?
-                    .parse()
-                    .map_err(|_| bad("--ckpt-interval"))?;
+                let k: u64 = flag_value(it, a)?;
                 config.ckpt_interval = if k == 0 { CampaignConfig::CKPT_OFF } else { k };
             }
-            "--threads" => {
-                let n: usize = value("--threads")?.parse().map_err(|_| bad("--threads"))?;
-                config.threads = n.max(1);
-            }
-            "--retries" => {
-                config.retries = value("--retries")?.parse().map_err(|_| bad("--retries"))?;
-            }
-            "--fuel" => {
-                config.run_fuel = Some(value("--fuel")?.parse().map_err(|_| bad("--fuel"))?);
-            }
+            "--threads" => config.threads = flag_value::<usize>(it, a)?.max(1),
+            "--retries" => config.retries = flag_value(it, a)?,
+            "--fuel" => config.run_fuel = Some(flag_value(it, a)?),
             "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|_| bad("--deadline-ms"))?;
-                config.run_deadline = Some(std::time::Duration::from_millis(ms));
+                config.run_deadline = Some(std::time::Duration::from_millis(flag_value(it, a)?));
             }
-            "--poison-at" => {
-                config.poison_at = Some(
-                    value("--poison-at")?
-                        .parse()
-                        .map_err(|_| bad("--poison-at"))?,
-                );
-            }
-            "--wal" => opts.wal = Some(value("--wal")?.into()),
+            "--poison-at" => config.poison_at = Some(flag_value(it, a)?),
+            "--wal" => opts.wal = Some(flag_value(it, a)?),
             "--resume" => opts.resume = true,
             "--fault-model" => {
-                opts.model =
-                    Some(parse_fault_model(value("--fault-model")?).map_err(CliError::usage)?);
+                let m: String = flag_value(it, a)?;
+                opts.model = Some(parse_fault_model(&m).map_err(CliError::usage)?);
             }
             "--sample" => opts.sample = true,
             "--target-ci" => {
                 opts.sample = true;
-                opts.target_ci = value("--target-ci")?
-                    .parse()
-                    .map_err(|_| bad("--target-ci"))?;
+                opts.target_ci = flag_value(it, a)?;
                 if !(opts.target_ci.is_finite() && opts.target_ci >= 0.0) {
-                    return Err(bad("--target-ci"));
+                    return Err(bad_arg(a));
                 }
             }
             "--pilot" => {
-                opts.pilot = value("--pilot")?.parse().map_err(|_| bad("--pilot"))?;
+                opts.pilot = flag_value(it, a)?;
                 if opts.pilot == 0 {
-                    return Err(bad("--pilot"));
+                    return Err(bad_arg(a));
                 }
             }
             "--batch" => {
-                opts.batch = value("--batch")?.parse().map_err(|_| bad("--batch"))?;
+                opts.batch = flag_value(it, a)?;
                 if opts.batch == 0 {
-                    return Err(bad("--batch"));
+                    return Err(bad_arg(a));
                 }
             }
-            "--max-unsound" => {
-                opts.max_unsound = value("--max-unsound")?
-                    .parse()
-                    .map_err(|_| bad("--max-unsound"))?;
-            }
-            "--quarantine-dir" => opts.quarantine_dir = Some(value("--quarantine-dir")?.into()),
+            "--max-unsound" => opts.max_unsound = flag_value(it, a)?,
+            "--quarantine-dir" => opts.quarantine_dir = Some(flag_value(it, a)?),
             flag if flag.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown flag `{flag}`")))
             }
@@ -787,99 +769,46 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
     Ok((config, opts))
 }
 
+/// The next argument, parsed as the value of `flag`.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, CliError> {
+    it.next()
+        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))?
+        .parse()
+        .map_err(|_| bad_arg(flag))
+}
+
 fn bad_arg(what: &str) -> CliError {
     CliError::usage(format!("bad {what}"))
 }
 
 fn cmd_inject(t: Target, rest: &[String]) -> Result<(), CliError> {
     let (config, opts) = parse_inject_opts(rest)?;
-    let model = opts
-        .model
-        .clone()
-        .unwrap_or_else(epvf_core::default_fault_model);
-    let campaign = Campaign::with_model(&t.module, Workload::ENTRY, &t.args, config, model)
-        .map_err(CliError::campaign)?;
     if opts.sample {
-        return cmd_inject_sampled(&t, &campaign, &opts);
+        return cmd_inject_sampled(&t, config, &opts);
     }
-    let trace = campaign
-        .golden()
-        .trace
-        .as_ref()
-        .ok_or_else(|| CliError::campaign("golden run produced no trace"))?;
-    let res = analyze(&t.module, trace, EpvfConfig::default());
-    let specs = campaign.draw_specs(opts.runs, opts.seed);
-
-    // With --wal, completed runs stream into a crash-safe log;
-    // --resume salvages a previous log first and re-runs only what's
-    // missing, reproducing byte-identical aggregates.
-    let fi = if let Some(wal_path) = &opts.wal {
-        let fp = wal_fingerprint_model(
-            &t.module.to_string(),
-            Workload::ENTRY,
-            &t.args,
-            &specs,
-            &campaign.model().name(),
-        );
-        let (sink, recovered) = if opts.resume {
-            let (sink, rec) = WalSink::recover(wal_path, fp)?;
-            let mut map = std::collections::BTreeMap::new();
-            for (i, (spec, outcome)) in rec.outcomes {
-                match specs.get(i) {
-                    Some(s) if *s == spec => {
-                        map.insert(i, outcome);
-                    }
-                    _ => {
-                        return Err(CliError::input(format!(
-                            "WAL record {i} does not match the drawn spec list \
-                             (same fingerprint but divergent content)"
-                        )))
-                    }
-                }
-            }
-            (sink, map)
-        } else {
-            (WalSink::create(wal_path, fp)?, Default::default())
-        };
-        let session = RunSession {
-            recovered,
-            wal: Some(&sink),
-            ..RunSession::default()
-        };
-        let fi = campaign.run_specs_session(&specs, &session);
-        sink.flush();
-        if let Some(e) = sink.take_error() {
-            return Err(CliError::io(format!(
-                "writing WAL {}: {e}",
-                wal_path.display()
-            )));
-        }
-        fi
-    } else {
-        campaign.run_specs(&specs)
-    };
-
-    // The summary renderer is shared with `epvf merge`: a merged N-shard
-    // campaign must reproduce these bytes exactly (the differential
-    // shard-equivalence suite diffs the two outputs).
-    print!(
-        "{}",
-        summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
-    );
-    summary::finish_campaign(
-        &t.label,
-        &campaign,
-        &fi,
-        opts.quarantine_dir.as_deref(),
-        opts.max_unsound,
-    )
+    // A plain campaign is the 1-of-1 shard: the same run, WAL and resume
+    // path as `epvf shard`, and the same renderer as `epvf merge`.
+    let plan = plan::CampaignPlan::new(&t, config, &opts)?;
+    let res = plan.analyze()?;
+    let fi = plan.run(ShardSpec::WHOLE, opts.wal.as_deref(), opts.resume)?;
+    print!("{}", plan.render(&res, &fi)?.0);
+    plan.finish(&fi, opts.quarantine_dir.as_deref(), opts.max_unsound)
 }
 
 /// `epvf inject --sample`: adaptive stratified campaign that stops when
 /// the 95% CI half-width on both the SDC and crash rates drops under
 /// `--target-ci`, instead of enumerating (or uniformly subsampling) the
 /// flip universe.
-fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Result<(), CliError> {
+fn cmd_inject_sampled(
+    t: &Target,
+    config: CampaignConfig,
+    opts: &InjectOpts,
+) -> Result<(), CliError> {
+    let campaign = Campaign::with_model(&t.module, Workload::ENTRY, &t.args, config, opts.model())
+        .map_err(CliError::campaign)?;
     let cfg = SamplerConfig {
         target_ci: opts.target_ci,
         pilot: opts.pilot,
@@ -889,45 +818,27 @@ fn cmd_inject_sampled(t: &Target, campaign: &Campaign, opts: &InjectOpts) -> Res
         max_runs: if opts.runs_given { opts.runs } else { 0 },
         seed: opts.seed,
     };
-
-    let report = if let Some(wal_path) = &opts.wal {
-        let fp = wal_fingerprint_adaptive_model(
-            &t.module.to_string(),
-            Workload::ENTRY,
-            &t.args,
-            cfg.target_ci,
-            cfg.pilot,
-            cfg.batch,
-            cfg.max_runs,
-            cfg.seed,
-            &campaign.model().name(),
-        );
-        let (sink, recovered) = if opts.resume {
-            let (sink, rec) = WalSink::recover(wal_path, fp)?;
-            // Records are keyed by global run index in the deterministic
-            // execution sequence; the sampler replays them in place.
-            let map = rec.outcomes.into_iter().map(|(i, (_, o))| (i, o)).collect();
-            (sink, map)
-        } else {
-            (WalSink::create(wal_path, fp)?, Default::default())
-        };
+    let fp = wal_fingerprint_adaptive(
+        &t.module.to_string(),
+        Workload::ENTRY,
+        &t.args,
+        &cfg,
+        &campaign.model().name(),
+    );
+    let report = plan::with_wal(opts.wal.as_deref(), fp, opts.resume, |wal, recovered| {
+        // Records are keyed by global run index in the deterministic
+        // execution sequence; the sampler replays them in place, so
+        // there is no drawn spec list to check them against.
+        let recovered = recovered
+            .map(|r| r.outcomes.into_iter().map(|(i, (_, o))| (i, o)).collect())
+            .unwrap_or_default();
         let session = RunSession {
             recovered,
-            wal: Some(&sink),
+            wal,
             ..RunSession::default()
         };
-        let report = campaign.run_adaptive_session(cfg, &session);
-        sink.flush();
-        if let Some(e) = sink.take_error() {
-            return Err(CliError::io(format!(
-                "writing WAL {}: {e}",
-                wal_path.display()
-            )));
-        }
-        report
-    } else {
-        campaign.run_adaptive(cfg)
-    };
+        Ok(campaign.run_adaptive_session(cfg, &session))
+    })?;
 
     println!("target    : {} (sampled, seed {})", t.label, opts.seed);
     let model_name = campaign.model().name();

@@ -16,83 +16,53 @@
 //! with the dedicated code 9 so scripts can tell "complete" from
 //! "best effort" without parsing stdout.
 
-use crate::{parse_inject_opts, resolve, sharding, summary, CliError};
-use epvf_core::analyze;
+use crate::plan::CampaignPlan;
+use crate::{flag_value, parse_inject_opts, resolve, CliError};
 use epvf_llfi::{
-    wal_fingerprint_shard, CampaignAggregate, ChaosConfig, ShardOutcomes, SupervisorConfig,
-    SupervisorEvent, SupervisorReport, WalSink,
+    CampaignAggregate, ChaosConfig, SupervisorConfig, SupervisorEvent, SupervisorReport,
 };
-use epvf_telemetry::{add, Ctr, MetricsReport, MetricsSnapshot};
+use epvf_telemetry::{MetricsReport, MetricsSnapshot};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Supervisor-side flags, pulled out of the argument list before the
+/// `run-sharded`'s own flags, pulled out of the argument list before the
 /// rest is both parsed locally and forwarded verbatim to the workers.
 struct SupervisorOpts {
     shards: usize,
-    retries: u32,
-    stall_timeout: Option<Duration>,
-    deadline: Option<Duration>,
-    backoff: Duration,
+    /// Retry budget, heartbeat and deadline policy, backoff and chaos.
+    policy: SupervisorConfig,
     allow_partial: bool,
     work_dir: Option<PathBuf>,
     counters_out: Option<PathBuf>,
-    chaos: Option<ChaosConfig>,
 }
 
 fn extract_supervisor_opts(rest: &[String]) -> Result<(SupervisorOpts, Vec<String>), CliError> {
     let mut opts = SupervisorOpts {
         shards: 0,
-        retries: 2,
-        stall_timeout: None,
-        deadline: None,
-        backoff: Duration::from_millis(50),
+        policy: SupervisorConfig::default(),
         allow_partial: false,
         work_dir: None,
         counters_out: None,
-        chaos: None,
     };
     let mut forwarded = Vec::new();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-        };
-        let bad = |what: &str| CliError::usage(format!("bad {what}"));
+        if parse_policy_flag(&mut opts.policy, a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--shards" => {
-                opts.shards = value("--shards")?.parse().map_err(|_| bad("--shards"))?;
-            }
-            "--shard-retries" => {
-                opts.retries = value("--shard-retries")?
-                    .parse()
-                    .map_err(|_| bad("--shard-retries"))?;
-            }
-            "--stall-timeout-ms" => {
-                let ms: u64 = value("--stall-timeout-ms")?
-                    .parse()
-                    .map_err(|_| bad("--stall-timeout-ms"))?;
-                opts.stall_timeout = Some(Duration::from_millis(ms));
-            }
-            "--shard-deadline-ms" => {
-                let ms: u64 = value("--shard-deadline-ms")?
-                    .parse()
-                    .map_err(|_| bad("--shard-deadline-ms"))?;
-                opts.deadline = Some(Duration::from_millis(ms));
-            }
+            "--shards" => opts.shards = flag_value(&mut it, a)?,
             "--backoff-ms" => {
-                let ms: u64 = value("--backoff-ms")?
-                    .parse()
-                    .map_err(|_| bad("--backoff-ms"))?;
-                opts.backoff = Duration::from_millis(ms.max(1));
+                let ms: u64 = flag_value(&mut it, a)?;
+                opts.policy.backoff_base = Duration::from_millis(ms.max(1));
             }
             "--allow-partial" => opts.allow_partial = true,
-            "--work-dir" => opts.work_dir = Some(value("--work-dir")?.into()),
-            "--counters-out" => opts.counters_out = Some(value("--counters-out")?.into()),
+            "--work-dir" => opts.work_dir = Some(flag_value(&mut it, a)?),
+            "--counters-out" => opts.counters_out = Some(flag_value(&mut it, a)?),
             "--chaos" => {
-                opts.chaos = Some(
-                    ChaosConfig::parse(value("--chaos")?)
+                let spec: String = flag_value(&mut it, a)?;
+                opts.policy.chaos = Some(
+                    ChaosConfig::parse(&spec)
                         .map_err(|e| CliError::usage(format!("--chaos: {e}")))?,
                 );
             }
@@ -105,31 +75,67 @@ fn extract_supervisor_opts(rest: &[String]) -> Result<(SupervisorOpts, Vec<Strin
     Ok((opts, forwarded))
 }
 
-/// Build the supervisor config shared by `run-sharded` and the serve
-/// daemon's sharded request path.
-pub(crate) fn supervisor_config(
-    retries: u32,
-    stall_timeout: Option<Duration>,
-    deadline: Option<Duration>,
-    backoff: Duration,
-    seed: u64,
-    chaos: Option<ChaosConfig>,
-) -> SupervisorConfig {
-    SupervisorConfig {
-        retries,
-        stall_timeout,
-        deadline,
-        backoff_base: backoff,
-        seed,
-        chaos,
-        ..SupervisorConfig::default()
+/// Parse `flag` into `policy` if it is one of the supervisor policy flags
+/// `run-sharded` and `serve` share: `--shard-retries N`,
+/// `--stall-timeout-ms MS`, `--shard-deadline-ms MS`. Returns whether it
+/// was.
+pub(crate) fn parse_policy_flag(
+    policy: &mut SupervisorConfig,
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<bool, CliError> {
+    match flag {
+        "--shard-retries" => policy.retries = flag_value(it, flag)?,
+        "--stall-timeout-ms" => {
+            policy.stall_timeout = Some(Duration::from_millis(flag_value(it, flag)?));
+        }
+        "--shard-deadline-ms" => {
+            policy.deadline = Some(Duration::from_millis(flag_value(it, flag)?));
+        }
+        _ => return Ok(false),
     }
+    Ok(true)
+}
+
+/// Removes a scratch directory when dropped, so every exit path — success,
+/// failure, or an early `?` — cleans up the shard WALs and stderr
+/// captures.
+pub(crate) struct ScratchDir(pub(crate) PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Run `shards` concurrent `epvf shard` workers of `spec` over WALs in
+/// `dir` under the fault-tolerant supervisor: crashed or hung workers
+/// are restarted from their WAL per `cfg`, and each worker's stderr is
+/// captured to a scratch file whose tail is surfaced on failure. Every
+/// supervision event is handed to `log` together with its narration line
+/// (if it has one). Returns the report and the shard WAL paths in shard
+/// order.
+pub(crate) fn supervise_shards(
+    spec: &str,
+    forwarded: &[String],
+    shards: usize,
+    dir: &Path,
+    cfg: &SupervisorConfig,
+    log: &mut dyn FnMut(&SupervisorEvent, Option<String>),
+) -> Result<(SupervisorReport, Vec<PathBuf>), CliError> {
+    let plans = shard_plans(spec, forwarded, shards, dir)?;
+    let report = epvf_llfi::supervise(&plans, cfg, &mut |event| {
+        let line = narrate(&event, shards, dir);
+        log(&event, line);
+    })
+    .map_err(|e| CliError::io(format!("supervising shard workers: {e}")))?;
+    Ok((report, plans.into_iter().map(|p| p.wal).collect()))
 }
 
 /// Build the worker plans: shard `i` runs
 /// `epvf shard <spec> <forwarded...> --index i --of S --wal DIR/shard-i.wal`,
 /// resuming with `--resume` appended.
-pub(crate) fn shard_plans(
+fn shard_plans(
     spec: &str,
     forwarded: &[String],
     shards: usize,
@@ -166,47 +172,46 @@ pub(crate) fn shard_plans(
         .collect())
 }
 
-/// Last `max_bytes` of a worker's captured stderr, flattened to one
-/// line for the supervisor log.
-pub(crate) fn stderr_tail(path: &Path, max_bytes: usize) -> String {
-    let Ok(bytes) = std::fs::read(path) else {
+/// The last 512 bytes of shard `shard`'s captured stderr in `dir`,
+/// flattened to one line and formatted as a ` [stderr: ...]` suffix for
+/// a supervisor log line (empty when there is nothing to show).
+pub(crate) fn stderr_tail(dir: &Path, shard: usize) -> String {
+    let Ok(bytes) = std::fs::read(dir.join(format!("shard-{shard}.stderr"))) else {
         return String::new();
     };
-    let start = bytes.len().saturating_sub(max_bytes);
-    String::from_utf8_lossy(&bytes[start..])
+    let start = bytes.len().saturating_sub(512);
+    let tail = String::from_utf8_lossy(&bytes[start..])
         .trim()
-        .replace('\n', " | ")
+        .replace('\n', " | ");
+    if tail.is_empty() {
+        tail
+    } else {
+        format!(" [stderr: {tail}]")
+    }
 }
 
-/// One narration line per supervision event, with the failure cause
-/// spelled out distinctly for signal vs. nonzero-exit vs. stall (the
-/// exit-code table documents the same taxonomy). `emit` receives the
-/// finished line; `run-sharded` sends them to stderr, the serve daemon
-/// onto the wire.
-pub(crate) fn narrate(
-    event: &SupervisorEvent,
-    shards: usize,
-    dir: &Path,
-    emit: &mut dyn FnMut(String),
-) {
+/// The narration line for a supervision event, if it gets one, with the
+/// failure cause spelled out distinctly for signal vs. nonzero-exit vs.
+/// stall (the exit-code table documents the same taxonomy).
+/// `run-sharded` sends these lines to stderr, the serve daemon onto the
+/// wire.
+fn narrate(event: &SupervisorEvent, shards: usize, dir: &Path) -> Option<String> {
     use epvf_llfi::FailureKind;
     match event {
         SupervisorEvent::Spawned {
             shard,
             attempt,
             resumed,
-        } => {
-            if *attempt > 1 || *resumed {
-                emit(format!(
-                    "supervisor: shard {shard}/{shards} attempt {attempt} started{}",
-                    if *resumed {
-                        " (resuming from WAL)"
-                    } else {
-                        " (fresh)"
-                    }
-                ));
-            }
-        }
+        } => (*attempt > 1 || *resumed).then(|| {
+            format!(
+                "supervisor: shard {shard}/{shards} attempt {attempt} started{}",
+                if *resumed {
+                    " (resuming from WAL)"
+                } else {
+                    " (fresh)"
+                }
+            )
+        }),
         SupervisorEvent::Failed {
             shard,
             attempt,
@@ -228,36 +233,16 @@ pub(crate) fn narrate(
             } else {
                 "retry budget exhausted".to_string()
             };
-            let tail = stderr_tail(&dir.join(format!("shard-{shard}.stderr")), 512);
-            let tail = if tail.is_empty() {
-                String::new()
-            } else {
-                format!(" [stderr: {tail}]")
-            };
-            emit(format!(
+            let tail = stderr_tail(dir, *shard);
+            Some(format!(
                 "supervisor: shard {shard}/{shards} attempt {attempt} {cause}; {next}{tail}"
-            ));
+            ))
         }
-        SupervisorEvent::Succeeded { shard, attempt } => {
-            if *attempt > 1 {
-                emit(format!(
-                    "supervisor: shard {shard}/{shards} recovered on attempt {attempt}"
-                ));
-            }
-        }
+        SupervisorEvent::Succeeded { shard, attempt } => (*attempt > 1)
+            .then(|| format!("supervisor: shard {shard}/{shards} recovered on attempt {attempt}")),
         SupervisorEvent::Chaos { shard, action } => {
-            emit(format!("supervisor: chaos {action} -> shard {shard}"));
+            Some(format!("supervisor: chaos {action} -> shard {shard}"))
         }
-    }
-}
-
-/// Salvage whatever a failed shard's WAL prefix holds: recover
-/// tolerating a torn tail, or return empty outcomes when the file never
-/// got a usable header (worker killed before `WalSink::create`).
-fn salvage_shard(path: &Path, fp: u64) -> ShardOutcomes {
-    match WalSink::recover(path, fp) {
-        Ok((_sink, rec)) => ShardOutcomes::from_recovered(&rec),
-        Err(_) => ShardOutcomes::empty(),
     }
 }
 
@@ -304,72 +289,32 @@ pub(crate) fn cmd_run_sharded(rest: &[String]) -> Result<(), CliError> {
     }
 
     let t = resolve(spec)?;
-    let (campaign, specs, base_fp) = sharding::campaign_and_specs(&t, config, &opts)?;
+    let plan = CampaignPlan::new(&t, config, &opts)?;
 
     let dir = sup.work_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("epvf-run-sharded-{}", std::process::id()))
     });
-    let plans = shard_plans(spec, &forwarded, sup.shards, &dir)?;
-    let cfg = supervisor_config(
-        sup.retries,
-        sup.stall_timeout,
-        sup.deadline,
-        sup.backoff,
-        opts.seed,
-        sup.chaos.clone(),
-    );
-    let shards = sup.shards;
-    let dir_for_log = dir.clone();
-    let mut emit = move |event: SupervisorEvent| {
-        narrate(&event, shards, &dir_for_log, &mut |line| {
-            eprintln!("{line}")
-        });
+    let _scratch = sup.work_dir.is_none().then(|| ScratchDir(dir.clone()));
+    let cfg = SupervisorConfig {
+        seed: opts.seed,
+        ..sup.policy.clone()
     };
-    let report = epvf_llfi::supervise(&plans, &cfg, &mut emit)
-        .map_err(|e| CliError::io(format!("supervising shard workers: {e}")))?;
-
-    let wals: Vec<PathBuf> = plans.iter().map(|p| p.wal.clone()).collect();
-    let result = finish(&t, &campaign, &specs, base_fp, &opts, &sup, &report, &wals);
-    if sup.work_dir.is_none() {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    t: &crate::Target,
-    campaign: &epvf_llfi::Campaign<'_>,
-    specs: &[epvf_interp::InjectionSpec],
-    base_fp: u64,
-    opts: &crate::InjectOpts,
-    sup: &SupervisorOpts,
-    report: &SupervisorReport,
-    wals: &[PathBuf],
-) -> Result<(), CliError> {
-    if report.all_ok() {
-        let fi = sharding::merge_shard_wals(wals, base_fp, specs)?;
-        let trace = campaign
-            .golden()
-            .trace
-            .as_ref()
-            .ok_or_else(|| CliError::campaign("golden run produced no trace"))?;
-        let res = analyze(&t.module, trace, epvf_core::EpvfConfig::default());
-        print!(
-            "{}",
-            summary::inject_summary(&t.label, opts.seed, campaign, &res, &fi)
-        );
-        let agg = CampaignAggregate::from_result(&fi, campaign.sites(), Some(&res.crash_map));
-        agg.check()
-            .map_err(|e| CliError::campaign(format!("merged aggregate inconsistent: {e}")))?;
-        if let Some(path) = &sup.counters_out {
-            write_class_counters(path, &agg)?;
-        }
-        return summary::finish_campaign(&t.label, campaign, &fi, None, opts.max_unsound);
-    }
+    let (report, wals) =
+        supervise_shards(spec, &forwarded, sup.shards, &dir, &cfg, &mut |_, line| {
+            if let Some(line) = line {
+                eprintln!("{line}");
+            }
+        })?;
 
     let failed = report.failed_shards();
-    if !sup.allow_partial {
+    let (fi, missing) = if report.all_ok() {
+        (plan.merge(&wals)?, None)
+    } else if sup.allow_partial {
+        // Salvage: completed shards merge fully; failed shards contribute
+        // whatever intact prefix their WAL holds.
+        let (fi, missing) = plan.salvage(&wals, &failed)?;
+        (fi, Some(missing))
+    } else {
         let causes: Vec<String> = report
             .shards
             .iter()
@@ -391,47 +336,26 @@ fn finish(
             report.shards.len(),
             causes.join(", ")
         )));
-    }
+    };
 
-    // Salvage: completed shards merge fully; failed shards contribute
-    // whatever intact prefix their WAL holds.
-    let mut merged = ShardOutcomes::empty();
-    let mut salvaged_runs = 0u64;
-    for (shard, path) in wals.iter().enumerate() {
-        let fp = wal_fingerprint_shard(base_fp, shard, wals.len());
-        let outcomes = salvage_shard(path, fp);
-        if failed.contains(&shard) {
-            salvaged_runs += outcomes.len() as u64;
-        }
-        merged = merged.merge(outcomes).map_err(CliError::input)?;
-    }
-    add(Ctr::SupervisorSalvagedRuns, salvaged_runs);
-    let (fi, missing) = merged.into_partial_result(specs).map_err(CliError::input)?;
-    let trace = campaign
-        .golden()
-        .trace
-        .as_ref()
-        .ok_or_else(|| CliError::campaign("golden run produced no trace"))?;
-    let res = analyze(&t.module, trace, epvf_core::EpvfConfig::default());
-    print!(
-        "{}",
-        summary::inject_summary(&t.label, opts.seed, campaign, &res, &fi)
-    );
-    let agg = CampaignAggregate::from_result(&fi, campaign.sites(), Some(&res.crash_map));
-    agg.check()
-        .map_err(|e| CliError::campaign(format!("salvaged aggregate inconsistent: {e}")))?;
+    let res = plan.analyze()?;
+    let (text, agg) = plan.render(&res, &fi)?;
+    print!("{text}");
     if let Some(path) = &sup.counters_out {
         write_class_counters(path, &agg)?;
     }
+    let Some(missing) = missing else {
+        return plan.finish(&fi, None, opts.max_unsound);
+    };
     let failed_list: Vec<String> = failed.iter().map(usize::to_string).collect();
+    let retries = cfg.retries;
     let partial_line = format!(
         "partial: salvaged {}/{} runs ({missing} missing) after shard(s) {} \
-         exhausted {} retr{}; rates above cover salvaged runs only",
+         exhausted {retries} retr{}; rates above cover salvaged runs only",
         fi.n(),
-        specs.len(),
+        plan.specs.len(),
         failed_list.join(","),
-        sup.retries,
-        if sup.retries == 1 { "y" } else { "ies" },
+        if retries == 1 { "y" } else { "ies" },
     );
     println!("{partial_line}");
     Err(CliError::Partial(partial_line))

@@ -53,10 +53,12 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<(), CliError> {
 
 #[cfg(unix)]
 mod unix {
-    use crate::{parse_inject_opts, resolve, sharding, summary, CliError};
-    use epvf_core::{analyze_compositional, EpvfConfig, EpvfResult, FaultModel, SectionCache};
+    use crate::plan::CampaignPlan;
+    use crate::run_sharded::{parse_policy_flag, stderr_tail, supervise_shards, ScratchDir};
+    use crate::{flag_value, parse_inject_opts, resolve, CliError};
+    use epvf_core::{analyze_compositional, EpvfConfig, EpvfResult, SectionCache};
     use epvf_ir::Module;
-    use epvf_llfi::{Campaign, CampaignAggregate, GoldenArtifacts};
+    use epvf_llfi::{Campaign, GoldenArtifacts, ShardSpec, SupervisorConfig, SupervisorEvent};
     use epvf_telemetry::{add, Ctr};
     use epvf_workloads::Workload;
     use std::collections::HashMap;
@@ -102,56 +104,20 @@ mod unix {
         res: EpvfResult,
     }
 
-    /// Supervisor policy for `run ... --shards S` requests, set once at
-    /// daemon startup.
-    #[derive(Clone)]
-    pub(super) struct ShardPolicy {
-        pub retries: u32,
-        pub stall_timeout: Option<std::time::Duration>,
-        pub deadline: Option<std::time::Duration>,
-    }
-
-    impl Default for ShardPolicy {
-        fn default() -> Self {
-            ShardPolicy {
-                retries: 2,
-                stall_timeout: None,
-                deadline: None,
-            }
-        }
-    }
-
     pub(super) fn serve(rest: &[String]) -> Result<(), CliError> {
         let mut socket: Option<PathBuf> = None;
         let mut section_dir: Option<PathBuf> = None;
-        let mut policy = ShardPolicy::default();
+        // Supervisor policy for `run ... --shards S` requests, set once at
+        // daemon startup.
+        let mut policy = SupervisorConfig::default();
         let mut it = rest.iter();
         while let Some(a) = it.next() {
-            let mut value = |what: &str| -> Result<&String, CliError> {
-                it.next()
-                    .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-            };
-            let bad = |what: &str| CliError::usage(format!("bad {what}"));
+            if parse_policy_flag(&mut policy, a, &mut it)? {
+                continue;
+            }
             match a.as_str() {
-                "--socket" => socket = Some(value("--socket")?.into()),
-                "--section-cache" => section_dir = Some(value("--section-cache")?.into()),
-                "--shard-retries" => {
-                    policy.retries = value("--shard-retries")?
-                        .parse()
-                        .map_err(|_| bad("--shard-retries"))?;
-                }
-                "--stall-timeout-ms" => {
-                    let ms: u64 = value("--stall-timeout-ms")?
-                        .parse()
-                        .map_err(|_| bad("--stall-timeout-ms"))?;
-                    policy.stall_timeout = Some(std::time::Duration::from_millis(ms));
-                }
-                "--shard-deadline-ms" => {
-                    let ms: u64 = value("--shard-deadline-ms")?
-                        .parse()
-                        .map_err(|_| bad("--shard-deadline-ms"))?;
-                    policy.deadline = Some(std::time::Duration::from_millis(ms));
-                }
+                "--socket" => socket = Some(flag_value(&mut it, a)?),
+                "--section-cache" => section_dir = Some(flag_value(&mut it, a)?),
                 other => return Err(CliError::usage(format!("unknown serve argument `{other}`"))),
             }
         }
@@ -281,7 +247,7 @@ mod unix {
         conn: &Conn,
         cache: &mut HashMap<u64, CacheEntry>,
         sections: &mut SectionCache,
-        policy: &ShardPolicy,
+        policy: &SupervisorConfig,
     ) -> Result<(), CliError> {
         let (spec, rest) = tokens
             .split_first()
@@ -292,11 +258,7 @@ mod unix {
         let mut it = rest.iter();
         while let Some(a) = it.next() {
             if a == "--shards" {
-                shards = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--shards needs a value"))?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --shards"))?;
+                shards = flag_value(&mut it, a)?;
                 if shards == 0 {
                     return Err(CliError::usage("bad --shards"));
                 }
@@ -310,13 +272,13 @@ mod unix {
                 "serve requests take neither --wal, --resume nor --sample",
             ));
         }
-        let model: Arc<dyn FaultModel> = match &opts.model {
-            Some(m) => Arc::clone(m),
-            None => epvf_core::default_fault_model(),
-        };
-
         let t = resolve(spec)?;
-        let key = cache_key(&t.module, &t.args, &model.name(), config.ckpt_interval);
+        let key = cache_key(
+            &t.module,
+            &t.args,
+            &opts.model().name(),
+            config.ckpt_interval,
+        );
         // The split below keeps the serve conservation law exact: every
         // campaign request resolves its artifacts exactly once, from the
         // cache or from a fresh golden run.
@@ -330,14 +292,9 @@ mod unix {
             std::collections::hash_map::Entry::Vacant(v) => {
                 add(Ctr::ServeCacheMisses, 1);
                 say(conn, &format!("cache {id} miss"));
-                let campaign = Campaign::with_model(
-                    &t.module,
-                    Workload::ENTRY,
-                    &t.args,
-                    config,
-                    Arc::clone(&model),
-                )
-                .map_err(CliError::campaign)?;
+                let campaign =
+                    Campaign::with_model(&t.module, Workload::ENTRY, &t.args, config, opts.model())
+                        .map_err(CliError::campaign)?;
                 let trace = campaign
                     .golden()
                     .trace
@@ -370,103 +327,50 @@ mod unix {
             }
         };
 
-        let campaign = Campaign::from_artifacts(
+        let plan = CampaignPlan::from_artifacts(
+            &entry.label,
             &entry.module,
-            Workload::ENTRY,
             &entry.args,
             config,
-            model,
+            &opts,
             entry.artifacts.clone(),
-        )
-        .map_err(CliError::campaign)?;
-        let specs = campaign.draw_specs(opts.runs, opts.seed);
-
+        )?;
         let fi = if shards == 1 {
-            campaign.run_specs(&specs)
+            plan.run(ShardSpec::WHOLE, None, false)?
         } else {
-            run_sharded(id, spec, &forwarded, shards, conn, policy, opts.seed)?;
-            let base_fp = sharding::base_fingerprint_parts(
-                &entry.module,
-                &entry.args,
-                &campaign.model().name(),
-                &specs,
-            );
-            let wals: Vec<PathBuf> = (0..shards).map(|i| shard_wal_path(id, i)).collect();
-            let merged = sharding::merge_shard_wals(&wals, base_fp, &specs);
-            let _ = std::fs::remove_dir_all(shard_dir(id));
-            merged?
+            let dir = std::env::temp_dir().join(format!("epvf-serve-{}-{id}", std::process::id()));
+            let _scratch = ScratchDir(dir.clone());
+            let cfg = SupervisorConfig {
+                seed: opts.seed,
+                ..policy.clone()
+            };
+            // One `progress` line per finished shard, then the supervisor
+            // narration, all onto the wire.
+            let (report, wals) =
+                supervise_shards(spec, &forwarded, shards, &dir, &cfg, &mut |event, line| {
+                    if let SupervisorEvent::Succeeded { shard, .. } = event {
+                        say(conn, &format!("progress {id} shard {shard}/{shards} done"));
+                    }
+                    if let Some(line) = line {
+                        say(conn, &format!("progress {id} {line}"));
+                    }
+                })?;
+            if let Some(bad) = report.shards.iter().find(|s| !s.ok) {
+                return Err(CliError::campaign(format!(
+                    "shard {}/{shards} {} after {} attempt(s){}",
+                    bad.index,
+                    bad.last_failure
+                        .map_or_else(|| "failed".into(), |k| k.to_string()),
+                    bad.attempts,
+                    stderr_tail(&dir, bad.index)
+                )));
+            }
+            plan.merge(&wals)?
         };
 
-        let agg = CampaignAggregate::from_result(&fi, campaign.sites(), Some(&entry.res.crash_map));
-        agg.check()
-            .map_err(|e| CliError::campaign(format!("merged aggregate inconsistent: {e}")))?;
-        let text = summary::inject_summary(&entry.label, opts.seed, &campaign, &entry.res, &fi);
+        let (text, _) = plan.render(&entry.res, &fi)?;
         for line in text.lines() {
             say(conn, &format!("out {id} {line}"));
-        }
-        Ok(())
-    }
-
-    fn shard_dir(id: u64) -> PathBuf {
-        std::env::temp_dir().join(format!("epvf-serve-{}-{id}", std::process::id()))
-    }
-
-    fn shard_wal_path(id: u64, index: usize) -> PathBuf {
-        shard_dir(id).join(format!("shard-{index}.wal"))
-    }
-
-    /// Run `shards` concurrent `epvf shard` workers over temporary WALs
-    /// under the fault-tolerant supervisor: crashed or hung workers are
-    /// restarted from their WAL (per the daemon's [`ShardPolicy`]), each
-    /// worker's stderr is captured to a scratch file whose tail is
-    /// surfaced on failure, and one `progress` line streams per finished
-    /// shard.
-    fn run_sharded(
-        id: u64,
-        spec: &str,
-        forwarded: &[String],
-        shards: usize,
-        conn: &Conn,
-        policy: &ShardPolicy,
-        seed: u64,
-    ) -> Result<(), CliError> {
-        let dir = shard_dir(id);
-        let plans = crate::run_sharded::shard_plans(spec, forwarded, shards, &dir)?;
-        let cfg = crate::run_sharded::supervisor_config(
-            policy.retries,
-            policy.stall_timeout,
-            policy.deadline,
-            std::time::Duration::from_millis(50),
-            seed,
-            None,
-        );
-        let mut emit = |event: epvf_llfi::SupervisorEvent| {
-            if let epvf_llfi::SupervisorEvent::Succeeded { shard, .. } = &event {
-                say(conn, &format!("progress {id} shard {shard}/{shards} done"));
-            }
-            crate::run_sharded::narrate(&event, shards, &dir, &mut |line| {
-                say(conn, &format!("progress {id} {line}"));
-            });
-        };
-        let report = epvf_llfi::supervise(&plans, &cfg, &mut emit)
-            .map_err(|e| CliError::io(format!("supervising shard workers: {e}")))?;
-        if let Some(bad) = report.shards.iter().find(|s| !s.ok) {
-            let tail = crate::run_sharded::stderr_tail(
-                &dir.join(format!("shard-{}.stderr", bad.index)),
-                512,
-            );
-            let tail = if tail.is_empty() {
-                String::new()
-            } else {
-                format!(" [stderr: {tail}]")
-            };
-            return Err(CliError::campaign(format!(
-                "shard {}/{shards} {} after {} attempt(s){tail}",
-                bad.index,
-                bad.last_failure
-                    .map_or_else(|| "failed".into(), |k| k.to_string()),
-                bad.attempts
-            )));
         }
         Ok(())
     }

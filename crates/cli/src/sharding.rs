@@ -8,17 +8,10 @@
 //! one `CampaignResult` and renders the *same* summary bytes as a
 //! single-process `epvf inject` of the whole campaign.
 
-use crate::{parse_inject_opts, summary, CliError, InjectOpts, Target};
-use epvf_core::analyze;
-use epvf_interp::InjectionSpec;
-use epvf_llfi::{
-    read_wal_fingerprint, wal_fingerprint_model, wal_fingerprint_shard, Campaign,
-    CampaignAggregate, CampaignConfig, CampaignResult, RunSession, ShardOutcomes, ShardSpec,
-    WalSink,
-};
-use epvf_telemetry::{add, Ctr, MetricsReport};
-use epvf_workloads::Workload;
-use std::collections::BTreeMap;
+use crate::plan::CampaignPlan;
+use crate::{flag_value, parse_inject_opts, summary, CliError, Target};
+use epvf_llfi::ShardSpec;
+use epvf_telemetry::MetricsReport;
 use std::path::PathBuf;
 
 /// Pull `--index I` and `--of S` out of the raw argument list, returning
@@ -29,15 +22,9 @@ fn extract_shard_spec(rest: &[String]) -> Result<(ShardSpec, Vec<String>), CliEr
     let mut remaining = Vec::new();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<usize, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))?
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad {what}")))
-        };
         match a.as_str() {
-            "--index" => index = Some(value("--index")?),
-            "--of" => of = Some(value("--of")?),
+            "--index" => index = Some(flag_value(&mut it, a)?),
+            "--of" => of = Some(flag_value(&mut it, a)?),
             _ => remaining.push(a.clone()),
         }
     }
@@ -49,43 +36,6 @@ fn extract_shard_spec(rest: &[String]) -> Result<(ShardSpec, Vec<String>), CliEr
         ))
     })?;
     Ok((shard, remaining))
-}
-
-/// Shared front half of `shard`, `merge`, and `run-sharded`: build the
-/// campaign and the full deterministic spec draw that all sides
-/// partition identically.
-pub(crate) fn campaign_and_specs<'m>(
-    t: &'m Target,
-    config: CampaignConfig,
-    opts: &InjectOpts,
-) -> Result<(Campaign<'m>, Vec<InjectionSpec>, u64), CliError> {
-    let model = opts
-        .model
-        .clone()
-        .unwrap_or_else(epvf_core::default_fault_model);
-    let campaign = Campaign::with_model(&t.module, Workload::ENTRY, &t.args, config, model)
-        .map_err(CliError::campaign)?;
-    let specs = campaign.draw_specs(opts.runs, opts.seed);
-    let base_fp = base_fingerprint_parts(&t.module, &t.args, &campaign.model().name(), &specs);
-    Ok((campaign, specs, base_fp))
-}
-
-/// Base fingerprint of a campaign's spec draw — the quantity shard WAL
-/// fingerprints are derived from. Also used by the serve daemon when it
-/// merges its worker shards' logs.
-pub(crate) fn base_fingerprint_parts(
-    module: &epvf_ir::Module,
-    args: &[u64],
-    model_name: &str,
-    specs: &[InjectionSpec],
-) -> u64 {
-    wal_fingerprint_model(
-        &module.to_string(),
-        Workload::ENTRY,
-        args,
-        specs,
-        model_name,
-    )
 }
 
 /// `epvf shard <target> [N] [SEED] --index I --of S --wal FILE [...]`
@@ -102,72 +52,15 @@ pub(crate) fn cmd_shard(t: Target, rest: &[String]) -> Result<(), CliError> {
              shard the exhaustive draw instead)",
         ));
     }
-    let wal_path = opts
+    let wal = opts
         .wal
-        .clone()
+        .as_deref()
         .ok_or_else(|| CliError::usage("shard requires --wal FILE"))?;
 
-    let (campaign, specs, base_fp) = campaign_and_specs(&t, config, &opts)?;
-    // Domain-separating the fingerprint by (index, of) means a WAL written
-    // as shard 2/4 is rejected (exit 4) if resumed as 2/8 — silently
-    // reinterpreting the strided indices would corrupt the merge.
-    let fp = wal_fingerprint_shard(base_fp, shard.index(), shard.of());
-    let local_specs: Vec<InjectionSpec> = shard.indices(specs.len()).map(|g| specs[g]).collect();
-
-    let (sink, recovered) = if opts.resume {
-        let (sink, rec) = WalSink::recover(&wal_path, fp)?;
-        let mut map = BTreeMap::new();
-        for (g, (spec, outcome)) in rec.outcomes {
-            if !shard.owns(g) {
-                return Err(CliError::input(format!(
-                    "WAL record {g} does not belong to shard {shard} \
-                     (same fingerprint but divergent content)"
-                )));
-            }
-            match specs.get(g) {
-                Some(s) if *s == spec => {
-                    map.insert(shard.to_local(g), outcome);
-                }
-                _ => {
-                    return Err(CliError::input(format!(
-                        "WAL record {g} does not match the drawn spec list \
-                         (same fingerprint but divergent content)"
-                    )))
-                }
-            }
-        }
-        (sink, map)
-    } else {
-        (WalSink::create(&wal_path, fp)?, Default::default())
-    };
-
-    let session = RunSession {
-        recovered,
-        wal: Some(&sink),
-        index_base: shard.index(),
-        index_stride: shard.of(),
-        ..RunSession::default()
-    };
-    let fi = campaign.run_specs_session(&local_specs, &session);
-    sink.flush();
-    if let Some(e) = sink.take_error() {
-        return Err(CliError::io(format!(
-            "writing WAL {}: {e}",
-            wal_path.display()
-        )));
-    }
-
-    print!(
-        "{}",
-        summary::shard_summary(&t.label, opts.seed, shard, specs.len(), &campaign, &fi)
-    );
-    summary::finish_campaign(
-        &t.label,
-        &campaign,
-        &fi,
-        opts.quarantine_dir.as_deref(),
-        opts.max_unsound,
-    )
+    let plan = CampaignPlan::new(&t, config, &opts)?;
+    let fi = plan.run(shard, Some(wal), opts.resume)?;
+    print!("{}", summary::shard_summary(&plan, shard, &fi));
+    plan.finish(&fi, opts.quarantine_dir.as_deref(), opts.max_unsound)
 }
 
 /// Pull every occurrence of `--flag VALUE` out of the argument list.
@@ -181,69 +74,6 @@ fn extract_all(rest: &mut Vec<String>, flag: &str) -> Result<Vec<PathBuf>, CliEr
         rest.remove(i);
     }
     Ok(out)
-}
-
-/// Identify which shard of `0..of` wrote each WAL by matching its header
-/// fingerprint against the expected partition geometry. Rejects foreign
-/// files, duplicates, and incomplete shard sets with exit 4.
-fn assign_shard_wals(
-    wals: &[PathBuf],
-    base_fp: u64,
-) -> Result<Vec<(ShardSpec, &PathBuf)>, CliError> {
-    let of = wals.len();
-    let expect: BTreeMap<u64, usize> = (0..of)
-        .map(|i| (wal_fingerprint_shard(base_fp, i, of), i))
-        .collect();
-    let mut seen: BTreeMap<usize, &PathBuf> = BTreeMap::new();
-    for path in wals {
-        let fp = read_wal_fingerprint(path)?;
-        let Some(&i) = expect.get(&fp) else {
-            return Err(CliError::input(format!(
-                "{} is not a shard of this campaign (fingerprint {fp:#018x} matches no \
-                 shard 0..{of}; wrong target, run count, seed, fault model, or --of?)",
-                path.display()
-            )));
-        };
-        if let Some(prev) = seen.insert(i, path) {
-            return Err(CliError::input(format!(
-                "{} and {} are both shard {i}/{of} of this campaign",
-                prev.display(),
-                path.display()
-            )));
-        }
-    }
-    Ok(seen
-        .into_iter()
-        .map(|(i, p)| (ShardSpec::new(i, of).expect("validated geometry"), p))
-        .collect())
-}
-
-/// Recover every shard WAL and fold the outcomes into one complete
-/// [`CampaignResult`] over `specs`. Shared by `cmd_merge` and the serve
-/// daemon's multi-shard request path.
-pub(crate) fn merge_shard_wals(
-    wals: &[PathBuf],
-    base_fp: u64,
-    specs: &[InjectionSpec],
-) -> Result<CampaignResult, CliError> {
-    let assigned = assign_shard_wals(wals, base_fp)?;
-    let mut merged = ShardOutcomes::empty();
-    for (shard, path) in &assigned {
-        let fp = wal_fingerprint_shard(base_fp, shard.index(), shard.of());
-        let (_sink, rec) = WalSink::recover(path, fp)?;
-        if rec.torn > 0 {
-            return Err(CliError::input(format!(
-                "{}: {} torn record(s) — shard {shard} did not finish; re-run it with --resume",
-                path.display(),
-                rec.torn
-            )));
-        }
-        merged = merged
-            .merge(ShardOutcomes::from_recovered(&rec))
-            .map_err(CliError::input)?;
-    }
-    add(Ctr::MergeShardWals, wals.len() as u64);
-    merged.into_result(specs).map_err(CliError::input)
 }
 
 /// `epvf merge <target> [N] [SEED] --wal FILE... [--metrics-in FILE...]
@@ -268,26 +98,14 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
     if opts.resume || opts.sample {
         return Err(CliError::usage("merge takes neither --resume nor --sample"));
     }
+    if metrics_in.is_empty() && !metrics_merged.is_empty() {
+        return Err(CliError::usage("--metrics-merged requires --metrics-in"));
+    }
 
-    let (campaign, specs, base_fp) = campaign_and_specs(&t, config, &opts)?;
-    let fi = merge_shard_wals(&wals, base_fp, &specs)?;
-
-    let trace = campaign
-        .golden()
-        .trace
-        .as_ref()
-        .ok_or_else(|| CliError::campaign("golden run produced no trace"))?;
-    let res = analyze(&t.module, trace, epvf_core::EpvfConfig::default());
-    print!(
-        "{}",
-        summary::inject_summary(&t.label, opts.seed, &campaign, &res, &fi)
-    );
-
-    // Cross-check the merged cells against the aggregate algebra's
-    // internal conservation laws before anyone trusts the summary.
-    let agg = CampaignAggregate::from_result(&fi, campaign.sites(), Some(&res.crash_map));
-    agg.check()
-        .map_err(|e| CliError::campaign(format!("merged aggregate inconsistent: {e}")))?;
+    let plan = CampaignPlan::new(&t, config, &opts)?;
+    let fi = plan.merge(&wals)?;
+    let res = plan.analyze()?;
+    print!("{}", plan.render(&res, &fi)?.0);
 
     if !metrics_in.is_empty() {
         let merged = merge_metrics_files(&metrics_in)?;
@@ -315,11 +133,9 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
                 .write_file(&path)
                 .map_err(|e| CliError::io(format!("writing {}: {e}", path.display())))?;
         }
-    } else if !metrics_merged.is_empty() {
-        return Err(CliError::usage("--metrics-merged requires --metrics-in"));
     }
 
-    summary::finish_campaign(&t.label, &campaign, &fi, None, opts.max_unsound)
+    plan.finish(&fi, None, opts.max_unsound)
 }
 
 /// Parse every line of every `--metrics-in` file and fold the snapshots

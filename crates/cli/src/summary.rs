@@ -1,15 +1,16 @@
-//! The campaign summary block shared by `epvf inject` and `epvf merge`
-//! (and streamed by `epvf serve`).
+//! The campaign summary blocks: the one every campaign front-end prints
+//! (through [`CampaignPlan::render`]) and the per-shard block of
+//! `epvf shard`.
 //!
 //! The byte-identical-aggregates contract is enforced on this exact text:
 //! a merged N-shard campaign must render the same bytes as the
 //! single-process `epvf inject` run, so the renderer is one function fed
-//! by both commands rather than two parallel `println!` blocks that could
+//! by every front-end rather than parallel `println!` blocks that could
 //! drift.
 
-use crate::CliError;
+use crate::plan::CampaignPlan;
 use epvf_core::EpvfResult;
-use epvf_llfi::{precision_study, recall_study, Campaign, CampaignResult};
+use epvf_llfi::{precision_study, recall_study, CampaignResult, ShardSpec};
 use std::fmt::Write;
 
 /// Render the `epvf inject` summary block for a finished campaign.
@@ -19,12 +20,11 @@ use std::fmt::Write;
 /// run count, seed)`, so a merge that re-renders the block from shard
 /// WALs reproduces the injection-time bytes exactly.
 pub(crate) fn inject_summary(
-    label: &str,
-    seed: u64,
-    campaign: &Campaign<'_>,
+    plan: &CampaignPlan<'_>,
     res: &EpvfResult,
     fi: &CampaignResult,
 ) -> String {
+    let (label, seed, campaign) = (plan.label, plan.seed, &plan.campaign);
     let mut out = String::new();
     let mut line = |s: String| {
         out.push_str(&s);
@@ -88,20 +88,20 @@ pub(crate) fn inject_summary(
 /// percentages — a shard's slice is an implementation detail, and integer
 /// counts make the shard-level differential tests exact).
 pub(crate) fn shard_summary(
-    label: &str,
-    seed: u64,
-    shard: epvf_llfi::ShardSpec,
-    total_runs: usize,
-    campaign: &Campaign<'_>,
+    plan: &CampaignPlan<'_>,
+    shard: ShardSpec,
     fi: &CampaignResult,
 ) -> String {
+    let campaign = &plan.campaign;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "shard     : {shard} ({} of {total_runs} runs, seed {seed})",
-        fi.n()
+        "shard     : {shard} ({} of {} runs, seed {})",
+        fi.n(),
+        plan.specs.len(),
+        plan.seed
     );
-    let _ = writeln!(out, "target    : {label}");
+    let _ = writeln!(out, "target    : {}", plan.label);
     let model_name = campaign.model().name();
     if model_name != epvf_core::DEFAULT_MODEL {
         let _ = writeln!(out, "model     : {model_name}");
@@ -121,39 +121,4 @@ pub(crate) fn shard_summary(
     let [sf, a, mma, ae] = agg.crash_kinds;
     let _ = writeln!(out, "crashes   : SF {sf}  A {a}  MMA {mma}  AE {ae}");
     out
-}
-
-/// Shared tail of `inject`-style commands: write quarantine repros (when
-/// requested) and apply the graceful-degradation gate.
-pub(crate) fn finish_campaign(
-    label: &str,
-    campaign: &Campaign<'_>,
-    fi: &CampaignResult,
-    quarantine_dir: Option<&std::path::Path>,
-    max_unsound: f64,
-) -> Result<(), CliError> {
-    if let Some(dir) = quarantine_dir {
-        if !fi.quarantines.is_empty() {
-            let prefix = label.replace([':', '/'], "-");
-            let paths = campaign
-                .write_quarantine_repros(dir, &prefix, &fi.quarantines)
-                .map_err(|e| CliError::io(format!("writing quarantine repros: {e}")))?;
-            println!(
-                "quarantine: {} repro file(s) in {}",
-                paths.len(),
-                dir.display()
-            );
-        }
-    }
-    if fi.unsound_rate() > max_unsound {
-        let msg = format!(
-            "campaign degraded: {:.1}% of runs quarantined or timed out \
-             (threshold {:.1}%); results above are partial",
-            100.0 * fi.unsound_rate(),
-            100.0 * max_unsound
-        );
-        epvf_telemetry::Progress::new("inject", 0).note(&msg);
-        return Err(CliError::Degraded(msg));
-    }
-    Ok(())
 }

@@ -27,16 +27,25 @@ struct Daemon {
 
 impl Daemon {
     fn start(dir: &std::path::Path) -> Daemon {
+        Daemon::start_with(dir, &[], |_| {})
+    }
+
+    /// Start with extra `serve` flags and a hook to adjust the daemon's
+    /// environment.
+    fn start_with(dir: &std::path::Path, flags: &[&str], env: impl FnOnce(&mut Command)) -> Daemon {
         let socket = dir.join("epvf.sock");
         let metrics = dir.join("metrics.json");
-        let child = Command::new(env!("CARGO_BIN_EXE_epvf"))
-            .args([
-                "serve",
-                "--socket",
-                socket.to_str().expect("utf8"),
-                "--metrics-out",
-                metrics.to_str().expect("utf8"),
-            ])
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_epvf"));
+        cmd.args([
+            "serve",
+            "--socket",
+            socket.to_str().expect("utf8"),
+            "--metrics-out",
+            metrics.to_str().expect("utf8"),
+        ])
+        .args(flags);
+        env(&mut cmd);
+        let child = cmd
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
@@ -320,5 +329,43 @@ fn sharded_requests_stream_supervised_progress() {
         assert!(lines.contains(&progress), "{lines:?}");
     }
     daemon.shutdown(&mut conn);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sharded request that fails still removes its scratch dir of shard
+/// WALs and stderr captures: here every worker attempt overruns a 1 ms
+/// deadline with no retries, so the request ends in `error`.
+#[test]
+fn failed_sharded_request_removes_its_scratch_dir() {
+    let dir = tmpdir("leak");
+    let scratch = dir.join("tmp");
+    std::fs::create_dir_all(&scratch).expect("mkdir");
+    let daemon = Daemon::start_with(
+        &dir,
+        &["--shard-retries", "0", "--shard-deadline-ms", "1"],
+        |cmd| {
+            cmd.env("TMPDIR", &scratch);
+        },
+    );
+    let mut conn = daemon.connect();
+
+    send(&mut conn, "run lud:small 300 1 --shards 2");
+    assert_eq!(recv(&mut conn), "queued 1");
+    let error = loop {
+        let line = recv(&mut conn);
+        assert_ne!(line, "done 1", "the deadline must fail the request");
+        if line.starts_with("error 1 ") {
+            break line;
+        }
+    };
+    assert!(error.contains("exceeded the shard deadline"), "{error}");
+    daemon.shutdown(&mut conn);
+
+    let left: Vec<String> = std::fs::read_dir(&scratch)
+        .expect("read scratch")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("epvf-serve-"))
+        .collect();
+    assert!(left.is_empty(), "scratch dirs left behind: {left:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

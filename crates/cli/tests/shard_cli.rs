@@ -203,3 +203,25 @@ fn incomplete_or_duplicated_shard_sets_exit_4() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Flag combinations are validated before any work: `--metrics-merged`
+/// without `--metrics-in` is a usage error (exit 2) that recovers no WAL
+/// and prints no summary.
+#[test]
+fn metrics_merged_without_metrics_in_fails_before_any_work() {
+    let dir = tmpdir("metrics-merged");
+    let wals = run_shards(&dir, 2);
+    let out = dir.join("merged.json");
+    let mut args = merge_args(&wals);
+    args.extend(["--metrics-merged", out.to_str().expect("utf8")]);
+    let r = epvf(&args);
+    assert_eq!(r.code, 2, "{}", r.stderr);
+    assert_eq!(r.stdout, "", "no summary before a usage error");
+    assert!(
+        r.stderr.contains("--metrics-merged requires --metrics-in"),
+        "{}",
+        r.stderr
+    );
+    assert!(!out.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

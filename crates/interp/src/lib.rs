@@ -37,10 +37,10 @@
 //! // Flip a high bit of the store address → segfault, exactly what the
 //! // ePVF crash model is built to predict.
 //! let store_dyn = 1; // malloc=0, store=1, …
-//! let fi = interp.run_injected(
+//! let fi = interp.run_fault(
 //!     "main",
 //!     &[],
-//!     InjectionSpec { dyn_idx: store_dyn, operand_slot: 1, bit: 46 },
+//!     InjectionSpec { dyn_idx: store_dyn, operand_slot: 1, bit: 46 }.into(),
 //! )?;
 //! assert!(matches!(fi.outcome, Outcome::Crashed { .. }));
 //! # Ok::<(), Box<dyn std::error::Error>>(())

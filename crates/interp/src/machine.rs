@@ -352,14 +352,6 @@ impl<'m> Interpreter<'m> {
         exec.run_resumed_to_result()
     }
 
-    /// Resume from `snapshot` with a single-bit fault injected, replaying
-    /// only the suffix. The caller must pick a snapshot taken at or before
-    /// the injection point (`snapshot.dyn_count() <= spec.dyn_idx`);
-    /// otherwise the fault can never fire.
-    pub fn run_injected_from(&self, snapshot: &Snapshot, spec: InjectionSpec) -> RunResult {
-        self.run_fault_from(snapshot, spec.into())
-    }
-
     /// Resume from `snapshot` with a lowered [`MachineFault`] injected,
     /// replaying only the suffix. The caller must pick a snapshot taken at
     /// or before the injection point (`snapshot.dyn_count() <=
@@ -370,26 +362,15 @@ impl<'m> Interpreter<'m> {
         exec.run_resumed_to_result()
     }
 
-    /// Like [`Self::run_injected_from`], but additionally watches the golden
+    /// Like [`Self::run_fault_from`], but additionally watches the golden
     /// checkpoints in `rendezvous` (those strictly after the injection
     /// point): if the replayed state becomes identical to one of them, the
     /// deterministic suffix is bit-identical to the golden run and the
     /// replay ends early with [`ReplayOutcome::Rejoined`] — the fault was
     /// masked. This is what lets a checkpointed campaign skip most of the
-    /// post-injection work for benign faults.
-    pub fn replay_injected_from(
-        &self,
-        snapshot: &Snapshot,
-        spec: InjectionSpec,
-        rendezvous: &[Snapshot],
-    ) -> ReplayOutcome {
-        self.replay_fault_from(snapshot, spec.into(), rendezvous)
-    }
-
-    /// Like [`Self::replay_injected_from`], for an arbitrary lowered
-    /// [`MachineFault`]. Rendezvous is armed strictly after the injection
-    /// point; faults with lingering state (a pending ECC error) cannot
-    /// rejoin early because [`Snapshot`] comparison includes memory.
+    /// post-injection work for benign faults. Faults with lingering state
+    /// (a pending ECC error) cannot rejoin early because [`Snapshot`]
+    /// comparison includes memory.
     pub fn replay_fault_from(
         &self,
         snapshot: &Snapshot,
@@ -412,35 +393,9 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// Run with a single-bit fault injected.
-    ///
-    /// # Errors
-    /// [`ExecError`] on unknown entry or arity mismatch.
-    pub fn run_injected(
-        &self,
-        entry: &str,
-        args: &[u64],
-        spec: InjectionSpec,
-    ) -> Result<RunResult, ExecError> {
-        let _span = epvf_telemetry::span(Tmr::InterpInjectedRun);
-        self.run_inner(entry, args, Some(spec.into()))
-    }
-
-    /// Run with a multi-bit (XOR-mask) fault injected (§II-E extension).
-    ///
-    /// # Errors
-    /// [`ExecError`] on unknown entry or arity mismatch.
-    pub fn run_injected_multibit(
-        &self,
-        entry: &str,
-        args: &[u64],
-        spec: MultiBitSpec,
-    ) -> Result<RunResult, ExecError> {
-        self.run_inner(entry, args, Some(spec.into()))
-    }
-
-    /// Run with an arbitrary lowered [`MachineFault`] injected — the entry
-    /// point pluggable fault models funnel into.
+    /// Run with a lowered [`MachineFault`] injected — the one entry point
+    /// every fault funnels into. A single-bit [`InjectionSpec`] or a
+    /// multi-bit [`MultiBitSpec`] lowers with `.into()`.
     ///
     /// # Errors
     /// [`ExecError`] on unknown entry or arity mismatch.
@@ -503,7 +458,7 @@ impl Snapshot {
 }
 
 /// How a resumed, injected replay ended (see
-/// [`Interpreter::replay_injected_from`]).
+/// [`Interpreter::replay_fault_from`]).
 #[derive(Debug, Clone)]
 pub enum ReplayOutcome {
     /// The run executed to a terminal outcome.

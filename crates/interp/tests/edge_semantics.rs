@@ -156,27 +156,29 @@ fn result_target_fault_persists_across_uses() {
     let interp = Interpreter::new(&m, ExecConfig::default());
 
     let dest = interp
-        .run_injected_multibit(
+        .run_fault(
             "main",
             &[],
             MultiBitSpec {
                 dyn_idx: 0,
                 target: FaultTarget::Result,
                 mask: 1,
-            },
+            }
+            .into(),
         )
         .expect("runs");
     assert_eq!(dest.outputs, vec![9, 9], "result fault persists");
 
     let src = interp
-        .run_injected_multibit(
+        .run_fault(
             "main",
             &[],
             MultiBitSpec {
                 dyn_idx: 1,
                 target: FaultTarget::Operand(0),
                 mask: 1,
-            },
+            }
+            .into(),
         )
         .expect("runs");
     assert_eq!(src.outputs, vec![9, 8], "operand fault is per-use");
@@ -196,14 +198,15 @@ fn result_fault_on_phi_applies() {
     f.finish();
     let m = mb.finish().expect("verifies");
     let r = Interpreter::new(&m, ExecConfig::default())
-        .run_injected_multibit(
+        .run_fault(
             "main",
             &[],
             MultiBitSpec {
                 dyn_idx: 1,
                 target: FaultTarget::Result,
                 mask: 2,
-            },
+            }
+            .into(),
         )
         .expect("runs");
     assert_eq!(r.outputs, vec![6]);

@@ -381,14 +381,15 @@ fn injection_benign_on_untaken_select_operand() {
     let golden = interp.run("main", &[]).expect("setup ok");
     // slot 2 = the untaken `b` operand of select
     let fi = interp
-        .run_injected(
+        .run_fault(
             "main",
             &[],
             InjectionSpec {
                 dyn_idx: 0,
                 operand_slot: 2,
                 bit: 5,
-            },
+            }
+            .into(),
         )
         .expect("setup ok");
     assert!(fi.is_benign_vs(&golden));
@@ -410,14 +411,15 @@ fn injection_causes_sdc_on_output_operand() {
         })
         .expect("output executed");
     let fi = interp
-        .run_injected(
+        .run_fault(
             "main",
             &[4],
             InjectionSpec {
                 dyn_idx: out_rec.idx,
                 operand_slot: 0,
                 bit: 0,
-            },
+            }
+            .into(),
         )
         .expect("setup ok");
     assert!(fi.is_sdc_vs(&golden));
@@ -435,14 +437,15 @@ fn injection_in_address_high_bit_segfaults() {
     let m = mb.finish().expect("verifies");
     let interp = Interpreter::new(&m, ExecConfig::default());
     let fi = interp
-        .run_injected(
+        .run_fault(
             "main",
             &[],
             InjectionSpec {
                 dyn_idx: 1,
                 operand_slot: 1,
                 bit: 40,
-            },
+            }
+            .into(),
         )
         .expect("setup ok");
     assert_eq!(fi.outcome.crash_kind(), Some(CrashKind::Segfault));
@@ -459,14 +462,15 @@ fn injection_in_address_low_bit_misaligns() {
     let m = mb.finish().expect("verifies");
     let interp = Interpreter::new(&m, ExecConfig::default());
     let fi = interp
-        .run_injected(
+        .run_fault(
             "main",
             &[],
             InjectionSpec {
                 dyn_idx: 1,
                 operand_slot: 1,
                 bit: 1,
-            },
+            }
+            .into(),
         )
         .expect("setup ok");
     assert_eq!(fi.outcome.crash_kind(), Some(CrashKind::Misaligned));
@@ -485,14 +489,15 @@ fn injection_in_malloc_size_aborts() {
     let interp = Interpreter::new(&m, ExecConfig::default());
     // flip bit 62 of the size → astronomically large request → OOM → Abort
     let fi = interp
-        .run_injected(
+        .run_fault(
             "main",
             &[64],
             InjectionSpec {
                 dyn_idx: 0,
                 operand_slot: 0,
                 bit: 62,
-            },
+            }
+            .into(),
         )
         .expect("setup ok");
     assert_eq!(fi.outcome.crash_kind(), Some(CrashKind::Abort));
@@ -517,7 +522,9 @@ fn injected_run_reaches_injection_point() {
         operand_slot: 0,
         bit: 0,
     };
-    let fi = interp.run_injected("main", &[5], spec).expect("setup ok");
+    let fi = interp
+        .run_fault("main", &[5], spec.into())
+        .expect("setup ok");
     assert!(
         fi.dyn_insts >= spec.dyn_idx,
         "ran at least to the injection point"

@@ -154,8 +154,8 @@ proptest! {
             operand_slot: 0,
             bit,
         };
-        let a = interp.run_injected("main", &[seeds.0, seeds.1], spec).expect("runs");
-        let b = interp.run_injected("main", &[seeds.0, seeds.1], spec).expect("runs");
+        let a = interp.run_fault("main", &[seeds.0, seeds.1], spec.into()).expect("runs");
+        let b = interp.run_fault("main", &[seeds.0, seeds.1], spec.into()).expect("runs");
         prop_assert_eq!(a, b);
     }
 }

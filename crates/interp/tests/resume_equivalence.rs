@@ -54,14 +54,14 @@ proptest! {
             bit,
         };
         let scratch = interp
-            .run_injected(Workload::ENTRY, &w.args, spec)
+            .run_fault(Workload::ENTRY, &w.args, spec.into())
             .expect("runs");
-        let resumed = interp.run_injected_from(snap, spec);
+        let resumed = interp.run_fault_from(snap, spec.into());
         prop_assert_eq!(observable(&resumed), observable(&scratch));
 
         // Rendezvous replay: a rejoin certifies the rest of the run is the
         // golden suffix; a finish must match the from-scratch result.
-        match interp.replay_injected_from(snap, spec, &snaps) {
+        match interp.replay_fault_from(snap, spec.into(), &snaps) {
             ReplayOutcome::Finished(r) => {
                 prop_assert_eq!(observable(&r), observable(&scratch));
             }

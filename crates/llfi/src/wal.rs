@@ -15,9 +15,13 @@
 //!          ++ bit (u8) ++ outcome tag (u8) ++ outcome subtag (u8)
 //! ```
 //!
-//! The fingerprint binds the log to one exact campaign (module text,
-//! entry, args, and the full spec list), so a stale WAL from a different
-//! command is rejected instead of silently merged. Records are
+//! The fingerprint binds the log to one exact campaign, so a stale WAL
+//! from a different command is rejected instead of silently merged.
+//! There are three domains, all hashed over module text, entry, and args:
+//! [`wal_fingerprint_model`] (a drawn spec list under a fault model),
+//! [`wal_fingerprint_shard`] (one strided slice of such a draw), and
+//! [`wal_fingerprint_adaptive`] (a sampler configuration under a fault
+//! model). Records are
 //! checksummed individually; recovery stops at the first torn or
 //! corrupt record and keeps everything before it — exactly the tail a
 //! crash mid-append can damage. Duplicate indices (possible when a crash
@@ -25,6 +29,7 @@
 //! on a later resume) are deduplicated latest-wins.
 
 use crate::campaign::InjOutcome;
+use crate::sampler::SamplerConfig;
 use epvf_interp::{CrashKind, InjectionSpec, TimeoutKind};
 use epvf_telemetry::Ctr;
 use std::collections::BTreeMap;
@@ -81,16 +86,9 @@ impl Fnv64 {
     }
 }
 
-/// Fingerprint of one exact campaign invocation: module text, entry,
-/// args, and the complete ordered spec list. A WAL carries this in its
-/// header; [`recover`](WalSink::recover) refuses to resume against a
-/// different fingerprint.
-pub fn wal_fingerprint(
-    module_text: &str,
-    entry: &str,
-    args: &[u64],
-    specs: &[InjectionSpec],
-) -> u64 {
+/// Hash the identity every campaign fingerprint starts from: module
+/// text, entry, and args.
+fn campaign_prefix(module_text: &str, entry: &str, args: &[u64]) -> Fnv64 {
     let mut h = Fnv64::new();
     h.update(module_text.as_bytes());
     h.update(&[0xff]);
@@ -99,21 +97,26 @@ pub fn wal_fingerprint(
     for &a in args {
         h.update(&a.to_le_bytes());
     }
-    h.update(&[0xfe]);
-    for s in specs {
-        h.update(&s.dyn_idx.to_le_bytes());
-        h.update(&(s.operand_slot as u32).to_le_bytes());
-        h.update(&[s.bit]);
+    h
+}
+
+/// Mix a non-default model name into a fingerprint (identity for the
+/// default model, so single-bit-flip WALs predate and outlive the
+/// model domain).
+fn model_domain(mut h: Fnv64, model_name: &str) -> u64 {
+    if model_name != epvf_core::DEFAULT_MODEL {
+        h.update(&[0xfc]);
+        h.update(model_name.as_bytes());
     }
     h.0
 }
 
-/// [`wal_fingerprint`] for a campaign under a named fault model. For the
-/// default model ([`epvf_core::DEFAULT_MODEL`]) this is **byte-identical**
-/// to `wal_fingerprint` — existing single-bit-flip WALs stay resumable.
-/// Any other model appends a `0xfc` domain separator plus the canonical
-/// model name, so the same spec coordinates under different models can
-/// never cross-resume.
+/// Fingerprint of one exact campaign invocation: module text, entry,
+/// args, the complete ordered spec list, and the fault model. A WAL
+/// carries this in its header; [`recover`](WalSink::recover) refuses to
+/// resume against a different fingerprint. A non-default model appends a
+/// `0xfc` domain separator plus its canonical name, so the same spec
+/// coordinates under different models can never cross-resume.
 pub fn wal_fingerprint_model(
     module_text: &str,
     entry: &str,
@@ -121,20 +124,14 @@ pub fn wal_fingerprint_model(
     specs: &[InjectionSpec],
     model_name: &str,
 ) -> u64 {
-    let base = wal_fingerprint(module_text, entry, args, specs);
-    model_domain(base, model_name)
-}
-
-/// Mix a non-default model name into a fingerprint (identity for the
-/// default model).
-fn model_domain(base: u64, model_name: &str) -> u64 {
-    if model_name == epvf_core::DEFAULT_MODEL {
-        return base;
+    let mut h = campaign_prefix(module_text, entry, args);
+    h.update(&[0xfe]);
+    for s in specs {
+        h.update(&s.dyn_idx.to_le_bytes());
+        h.update(&(s.operand_slot as u32).to_le_bytes());
+        h.update(&[s.bit]);
     }
-    let mut h = Fnv64(base);
-    h.update(&[0xfc]);
-    h.update(model_name.as_bytes());
-    h.0
+    model_domain(h, model_name)
 }
 
 /// Mix a shard's partition coordinates into a campaign fingerprint. The
@@ -191,63 +188,24 @@ pub fn read_wal_fingerprint(path: &Path) -> Result<u64, WalError> {
 /// depends on earlier outcomes), but it **is** a pure function of the
 /// campaign inputs and the sampler configuration — so hashing those plus
 /// the exact config pins the execution sequence just as tightly as the
-/// explicit spec list does for [`wal_fingerprint`]. A `0xfd` domain
+/// explicit spec list does for [`wal_fingerprint_model`]. A `0xfd` domain
 /// separator keeps adaptive and exhaustive fingerprints disjoint even for
-/// identical module/entry/args.
-#[allow(clippy::too_many_arguments)]
+/// identical module/entry/args; the model domain is the same as there.
 pub fn wal_fingerprint_adaptive(
     module_text: &str,
     entry: &str,
     args: &[u64],
-    target_ci: f64,
-    pilot: usize,
-    batch: usize,
-    max_runs: usize,
-    seed: u64,
-) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(module_text.as_bytes());
-    h.update(&[0xff]);
-    h.update(entry.as_bytes());
-    h.update(&[0xff]);
-    for &a in args {
-        h.update(&a.to_le_bytes());
-    }
-    h.update(&[0xfd]);
-    h.update(&target_ci.to_bits().to_le_bytes());
-    h.update(&(pilot as u64).to_le_bytes());
-    h.update(&(batch as u64).to_le_bytes());
-    h.update(&(max_runs as u64).to_le_bytes());
-    h.update(&seed.to_le_bytes());
-    h.0
-}
-
-/// [`wal_fingerprint_adaptive`] under a named fault model — same
-/// default-model identity and `0xfc` domain separation as
-/// [`wal_fingerprint_model`].
-#[allow(clippy::too_many_arguments)]
-pub fn wal_fingerprint_adaptive_model(
-    module_text: &str,
-    entry: &str,
-    args: &[u64],
-    target_ci: f64,
-    pilot: usize,
-    batch: usize,
-    max_runs: usize,
-    seed: u64,
+    cfg: &SamplerConfig,
     model_name: &str,
 ) -> u64 {
-    let base = wal_fingerprint_adaptive(
-        module_text,
-        entry,
-        args,
-        target_ci,
-        pilot,
-        batch,
-        max_runs,
-        seed,
-    );
-    model_domain(base, model_name)
+    let mut h = campaign_prefix(module_text, entry, args);
+    h.update(&[0xfd]);
+    h.update(&cfg.target_ci.to_bits().to_le_bytes());
+    h.update(&(cfg.pilot as u64).to_le_bytes());
+    h.update(&(cfg.batch as u64).to_le_bytes());
+    h.update(&(cfg.max_runs as u64).to_le_bytes());
+    h.update(&cfg.seed.to_le_bytes());
+    model_domain(h, model_name)
 }
 
 /// Why a WAL could not be opened or recovered.
@@ -766,38 +724,24 @@ mod tests {
     }
 
     #[test]
-    fn model_fingerprint_is_identity_for_default_and_disjoint_otherwise() {
+    fn model_fingerprints_are_disjoint() {
         let specs = [spec(1, 0, 0)];
-        let base = wal_fingerprint("m", "main", &[4], &specs);
-        assert_eq!(
-            wal_fingerprint_model("m", "main", &[4], &specs, epvf_core::DEFAULT_MODEL),
-            base,
-            "default-model WALs must stay byte-compatible"
-        );
-        let burst = wal_fingerprint_model("m", "main", &[4], &specs, "burst:2");
-        let ecc = wal_fingerprint_model("m", "main", &[4], &specs, "ecc:100");
+        let fp = |model: &str| wal_fingerprint_model("m", "main", &[4], &specs, model);
+        let base = fp(epvf_core::DEFAULT_MODEL);
+        let (burst, ecc) = (fp("burst:2"), fp("ecc:100"));
         assert_ne!(burst, base);
         assert_ne!(ecc, base);
         assert_ne!(burst, ecc);
-        let abase = wal_fingerprint_adaptive("m", "main", &[4], 0.05, 10, 10, 100, 7);
-        assert_eq!(
-            wal_fingerprint_adaptive_model(
-                "m",
-                "main",
-                &[4],
-                0.05,
-                10,
-                10,
-                100,
-                7,
-                epvf_core::DEFAULT_MODEL
-            ),
-            abase
-        );
-        assert_ne!(
-            wal_fingerprint_adaptive_model("m", "main", &[4], 0.05, 10, 10, 100, 7, "skip"),
-            abase
-        );
+        let cfg = SamplerConfig {
+            target_ci: 0.05,
+            pilot: 10,
+            batch: 10,
+            max_runs: 100,
+            seed: 7,
+        };
+        let adaptive = |model: &str| wal_fingerprint_adaptive("m", "main", &[4], &cfg, model);
+        assert_ne!(adaptive(epvf_core::DEFAULT_MODEL), base);
+        assert_ne!(adaptive("skip"), adaptive(epvf_core::DEFAULT_MODEL));
     }
 
     #[test]
@@ -837,11 +781,36 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_campaign_parameters() {
         let specs = [spec(1, 0, 0)];
-        let base = wal_fingerprint("m", "main", &[4], &specs);
-        assert_eq!(base, wal_fingerprint("m", "main", &[4], &specs));
-        assert_ne!(base, wal_fingerprint("m2", "main", &[4], &specs));
-        assert_ne!(base, wal_fingerprint("m", "other", &[4], &specs));
-        assert_ne!(base, wal_fingerprint("m", "main", &[5], &specs));
-        assert_ne!(base, wal_fingerprint("m", "main", &[4], &[spec(1, 0, 1)]));
+        let fp = |m: &str, entry: &str, args: &[u64], specs: &[InjectionSpec]| {
+            wal_fingerprint_model(m, entry, args, specs, epvf_core::DEFAULT_MODEL)
+        };
+        let base = fp("m", "main", &[4], &specs);
+        assert_eq!(base, fp("m", "main", &[4], &specs));
+        assert_ne!(base, fp("m2", "main", &[4], &specs));
+        assert_ne!(base, fp("m", "other", &[4], &specs));
+        assert_ne!(base, fp("m", "main", &[5], &specs));
+        assert_ne!(base, fp("m", "main", &[4], &[spec(1, 0, 1)]));
+    }
+
+    #[test]
+    fn fingerprint_domains_are_pinned() {
+        let specs = [spec(3, 0, 5), spec(17, 1, 63)];
+        let fp = |model: &str| wal_fingerprint_model("m", "main", &[4, 9], &specs, model);
+        let cfg = SamplerConfig {
+            target_ci: 0.05,
+            seed: 42,
+            ..SamplerConfig::default()
+        };
+        let adaptive = |model: &str| wal_fingerprint_adaptive("m", "main", &[4, 9], &cfg, model);
+        // Existing WALs carry these exact values in their headers; any
+        // change here orphans every log written before it.
+        assert_eq!(fp(epvf_core::DEFAULT_MODEL), 0xc204_f82f_fe46_a879);
+        assert_eq!(fp("burst:3"), 0x4c8b_4072_c5ea_1660);
+        assert_eq!(
+            wal_fingerprint_shard(fp(epvf_core::DEFAULT_MODEL), 2, 4),
+            0xb62d_f422_d511_c560
+        );
+        assert_eq!(adaptive(epvf_core::DEFAULT_MODEL), 0x5c1f_60f1_0925_0d63);
+        assert_eq!(adaptive("skip"), 0xb213_02c4_a99a_ca0a);
     }
 }

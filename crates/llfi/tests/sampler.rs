@@ -127,16 +127,7 @@ fn chopped_wal_resume_reproduces_the_sampled_report() {
     let m = mixed_module(20);
     let cfg = sampler_cfg();
     let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
-    let fp = wal_fingerprint_adaptive(
-        &m.to_string(),
-        "main",
-        &[],
-        cfg.target_ci,
-        cfg.pilot,
-        cfg.batch,
-        cfg.max_runs,
-        cfg.seed,
-    );
+    let fp = wal_fingerprint_adaptive(&m.to_string(), "main", &[], &cfg, epvf_core::DEFAULT_MODEL);
 
     let dir = tmpdir("wal-resume");
     let wal_path = dir.join("adaptive.wal");
@@ -192,16 +183,7 @@ fn adaptive_wal_records_global_run_indices() {
         ..SamplerConfig::default()
     };
     let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
-    let fp = wal_fingerprint_adaptive(
-        &m.to_string(),
-        "main",
-        &[],
-        cfg.target_ci,
-        cfg.pilot,
-        cfg.batch,
-        cfg.max_runs,
-        cfg.seed,
-    );
+    let fp = wal_fingerprint_adaptive(&m.to_string(), "main", &[], &cfg, epvf_core::DEFAULT_MODEL);
     let dir = tmpdir("wal-indices");
     let wal_path = dir.join("adaptive.wal");
     let sink = WalSink::create(&wal_path, fp).expect("create");

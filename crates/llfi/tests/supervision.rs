@@ -3,7 +3,7 @@
 //! determinism of all of it across thread counts.
 
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
-use epvf_llfi::{wal_fingerprint, Campaign, CampaignConfig, InjOutcome, RunSession, WalSink};
+use epvf_llfi::{wal_fingerprint_model, Campaign, CampaignConfig, InjOutcome, RunSession, WalSink};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -191,7 +191,13 @@ fn wal_session_resumes_to_identical_outcomes() {
     let m = loop_module(60);
     let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
     let specs = campaign.draw_specs(40, 11);
-    let fp = wal_fingerprint(&m.to_string(), "main", &[], &specs);
+    let fp = wal_fingerprint_model(
+        &m.to_string(),
+        "main",
+        &[],
+        &specs,
+        epvf_core::DEFAULT_MODEL,
+    );
 
     let dir = tmpdir("wal-resume");
     let wal_path = dir.join("campaign.wal");
@@ -246,7 +252,13 @@ fn wal_outcomes_match_a_wal_free_run() {
 
     let dir = tmpdir("wal-plain");
     let wal_path = dir.join("campaign.wal");
-    let fp = wal_fingerprint(&m.to_string(), "main", &[], &specs);
+    let fp = wal_fingerprint_model(
+        &m.to_string(),
+        "main",
+        &[],
+        &specs,
+        epvf_core::DEFAULT_MODEL,
+    );
     let sink = WalSink::create(&wal_path, fp).expect("create");
     let session = RunSession {
         recovered: BTreeMap::new(),

@@ -275,14 +275,15 @@ mod tests {
         // Corrupt the ORIGINAL mul's first operand: the recomputed chain
         // disagrees → Detected.
         let r = interp
-            .run_injected(
+            .run_fault(
                 "main",
                 &[5],
                 InjectionSpec {
                     dyn_idx: 1,
                     operand_slot: 0,
                     bit: 4,
-                },
+                }
+                .into(),
             )
             .expect("runs");
         assert_eq!(r.outcome, Outcome::Detected);
@@ -317,14 +318,15 @@ mod tests {
             .nth(2) // add, dup-add, then c
             .expect("c executed");
         let r = interp
-            .run_injected(
+            .run_fault(
                 "main",
                 &[5],
                 InjectionSpec {
                     dyn_idx: c_rec.idx,
                     operand_slot: 0,
                     bit: 3,
-                },
+                }
+                .into(),
             )
             .expect("runs");
         assert!(
