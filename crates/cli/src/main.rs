@@ -142,7 +142,7 @@ fn main() -> ExitCode {
     let result = {
         let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CliCommand);
         match args.first().map(String::as_str) {
-            Some("list") => cmd_list(),
+            Some("list") => no_more_args(&args[1..]).and_then(|()| cmd_list()),
             Some("dump") => with_target(&args, cmd_dump),
             Some("run") => with_target(&args, cmd_run),
             Some("analyze") => with_target(&args, cmd_analyze),
@@ -572,12 +572,14 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_dump(t: Target, _rest: &[String]) -> Result<(), CliError> {
+fn cmd_dump(t: Target, rest: &[String]) -> Result<(), CliError> {
+    no_more_args(rest)?;
     print!("{}", t.module);
     Ok(())
 }
 
-fn cmd_run(t: Target, _rest: &[String]) -> Result<(), CliError> {
+fn cmd_run(t: Target, rest: &[String]) -> Result<(), CliError> {
+    no_more_args(rest)?;
     let r = Interpreter::new(&t.module, ExecConfig::default())
         .run(Workload::ENTRY, &t.args)
         .map_err(CliError::campaign)?;
@@ -601,16 +603,9 @@ fn cmd_analyze(t: Target, rest: &[String]) -> Result<(), CliError> {
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-        };
         match a.as_str() {
-            "--section-cache" => cache_dir = Some(value("--section-cache")?.into()),
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown flag `{flag}`")))
-            }
-            extra => return Err(CliError::usage(format!("unexpected argument `{extra}`"))),
+            "--section-cache" => cache_dir = Some(flag_value(&mut it, a)?),
+            _ => return Err(unexpected_arg(a)),
         }
     }
     let golden = Interpreter::new(&t.module, ExecConfig::default())
@@ -745,11 +740,14 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
                     return Err(bad_arg(a));
                 }
             }
-            "--max-unsound" => opts.max_unsound = flag_value(it, a)?,
-            "--quarantine-dir" => opts.quarantine_dir = Some(flag_value(it, a)?),
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown flag `{flag}`")))
+            "--max-unsound" => {
+                opts.max_unsound = flag_value(it, a)?;
+                if !(opts.max_unsound.is_finite() && opts.max_unsound >= 0.0) {
+                    return Err(bad_arg(a));
+                }
             }
+            "--quarantine-dir" => opts.quarantine_dir = Some(flag_value(it, a)?),
+            _ if a.starts_with("--") => return Err(unexpected_arg(a)),
             _ => positional.push(a),
         }
     }
@@ -763,9 +761,7 @@ fn parse_inject_opts(rest: &[String]) -> Result<(CampaignConfig, InjectOpts), Cl
     opts.seed = positional
         .get(1)
         .map_or(Ok(42), |s| s.parse().map_err(|_| bad_arg("seed")))?;
-    if let Some(extra) = positional.get(2) {
-        return Err(CliError::usage(format!("unexpected argument `{extra}`")));
-    }
+    no_more_args(positional.get(2..).unwrap_or_default())?;
     Ok((config, opts))
 }
 
@@ -784,6 +780,21 @@ fn bad_arg(what: &str) -> CliError {
     CliError::usage(format!("bad {what}"))
 }
 
+/// The usage error for an argument a command does not take.
+fn unexpected_arg(a: &str) -> CliError {
+    if a.starts_with("--") {
+        CliError::usage(format!("unknown flag `{a}`"))
+    } else {
+        CliError::usage(format!("unexpected argument `{a}`"))
+    }
+}
+
+/// Reject whatever is left once a command has taken its own arguments.
+fn no_more_args<S: AsRef<str>>(rest: &[S]) -> Result<(), CliError> {
+    rest.first()
+        .map_or(Ok(()), |a| Err(unexpected_arg(a.as_ref())))
+}
+
 fn cmd_inject(t: Target, rest: &[String]) -> Result<(), CliError> {
     let (config, opts) = parse_inject_opts(rest)?;
     if opts.sample {
@@ -794,7 +805,7 @@ fn cmd_inject(t: Target, rest: &[String]) -> Result<(), CliError> {
     let plan = plan::CampaignPlan::new(&t, config, &opts)?;
     let res = plan.analyze()?;
     let fi = plan.run(ShardSpec::WHOLE, opts.wal.as_deref(), opts.resume)?;
-    print!("{}", plan.render(&res, &fi)?.0);
+    print!("{}", plan.render(&res, &fi));
     plan.finish(&fi, opts.quarantine_dir.as_deref(), opts.max_unsound)
 }
 
@@ -930,49 +941,41 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
     let mut replay: Option<String> = None;
     let mut calibrate_ci: Option<f64> = None;
     let mut model: Option<std::sync::Arc<dyn FaultModel>> = None;
+    // One target, named either bare or by `--workload`.
+    let set_target = |target: &mut Option<String>, t: &str| match target {
+        Some(_) => Err(unexpected_arg(t)),
+        None => {
+            *target = Some(t.to_string());
+            Ok(())
+        }
+    };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<&String, CliError> {
-            it.next()
-                .ok_or_else(|| CliError::usage(format!("{what} needs a value")))
-        };
-        let bad = |what: &str| CliError::usage(format!("bad {what}"));
+        let it = &mut it;
         match a.as_str() {
-            "--workload" => target = Some(value("--workload")?.clone()),
-            "--limit" => limit = value("--limit")?.parse().map_err(|_| bad("--limit"))?,
-            "--max-repros" => {
-                max_repros = value("--max-repros")?
-                    .parse()
-                    .map_err(|_| bad("--max-repros"))?;
-            }
-            "--repro-dir" => repro_dir = Some(value("--repro-dir")?.clone()),
-            "--replay" => replay = Some(value("--replay")?.clone()),
+            "--workload" => set_target(&mut target, &flag_value::<String>(it, a)?)?,
+            "--limit" => limit = flag_value(it, a)?,
+            "--max-repros" => max_repros = flag_value(it, a)?,
+            "--repro-dir" => repro_dir = Some(flag_value(it, a)?),
+            "--replay" => replay = Some(flag_value(it, a)?),
             "--fault-model" => {
-                model = Some(parse_fault_model(value("--fault-model")?).map_err(CliError::usage)?);
+                let m: String = flag_value(it, a)?;
+                model = Some(parse_fault_model(&m).map_err(CliError::usage)?);
             }
             "--calibrate" => {
-                let w: f64 = value("--calibrate")?
-                    .parse()
-                    .map_err(|_| bad("--calibrate"))?;
+                let w: f64 = flag_value(it, a)?;
                 if !(w.is_finite() && w > 0.0) {
-                    return Err(bad("--calibrate"));
+                    return Err(bad_arg(a));
                 }
                 calibrate_ci = Some(w);
             }
             "--ckpt-interval" => {
-                let k: u64 = value("--ckpt-interval")?
-                    .parse()
-                    .map_err(|_| bad("--ckpt-interval"))?;
+                let k: u64 = flag_value(it, a)?;
                 config.ckpt_interval = if k == 0 { CampaignConfig::CKPT_OFF } else { k };
             }
-            "--threads" => {
-                let n: usize = value("--threads")?.parse().map_err(|_| bad("--threads"))?;
-                config.threads = n.max(1);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown flag `{flag}`")))
-            }
-            positional => target = Some(positional.to_string()),
+            "--threads" => config.threads = flag_value::<usize>(it, a)?.max(1),
+            _ if a.starts_with("--") => return Err(unexpected_arg(a)),
+            _ => set_target(&mut target, a)?,
         }
     }
 
@@ -1096,9 +1099,15 @@ fn cmd_oracle(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_protect(t: Target, rest: &[String]) -> Result<(), CliError> {
-    let budget: f64 = rest
-        .first()
-        .map_or(Ok(0.24), |s| s.parse().map_err(|_| bad_arg("budget")))?;
+    let mut it = rest.iter();
+    let budget: f64 = match rest {
+        [] => 0.24,
+        _ => flag_value(&mut it, "budget")?,
+    };
+    if !(budget.is_finite() && budget >= 0.0) {
+        return Err(bad_arg("budget"));
+    }
+    no_more_args(it.as_slice())?;
     let campaign = Campaign::new(
         &t.module,
         Workload::ENTRY,

@@ -12,8 +12,7 @@
 //!    spawn `epvf shard` workers and fold their WALs back with
 //!    [`CampaignPlan::merge`] (or [`CampaignPlan::salvage`] under
 //!    `--allow-partial`);
-//! 2. **render** — [`CampaignPlan::render`] prints the summary block and
-//!    cross-checks the outcome cells against the aggregate algebra;
+//! 2. **render** — [`CampaignPlan::render`] renders the summary block;
 //! 3. **finish** — [`CampaignPlan::finish`] writes quarantine repros and
 //!    applies the graceful-degradation gate.
 //!
@@ -25,9 +24,8 @@ use epvf_core::{analyze, EpvfConfig, EpvfResult};
 use epvf_interp::InjectionSpec;
 use epvf_ir::Module;
 use epvf_llfi::{
-    read_wal_fingerprint, wal_fingerprint_model, wal_fingerprint_shard, Campaign,
-    CampaignAggregate, CampaignConfig, CampaignResult, GoldenArtifacts, RecoveredWal, RunSession,
-    ShardOutcomes, ShardSpec, WalSink,
+    read_wal_fingerprint, wal_fingerprint_model, wal_fingerprint_shard, Campaign, CampaignConfig,
+    CampaignResult, GoldenArtifacts, RecoveredWal, RunSession, ShardOutcomes, ShardSpec, WalSink,
 };
 use epvf_telemetry::{add, Ctr};
 use epvf_workloads::Workload;
@@ -231,18 +229,9 @@ impl<'m> CampaignPlan<'m> {
             .map_err(CliError::input)
     }
 
-    /// The campaign summary block, after cross-checking the outcome cells
-    /// against the aggregate algebra's conservation laws. The aggregate
-    /// is returned for callers that export its class counters.
-    pub(crate) fn render(
-        &self,
-        res: &EpvfResult,
-        fi: &CampaignResult,
-    ) -> Result<(String, CampaignAggregate), CliError> {
-        let agg = CampaignAggregate::from_result(fi, self.campaign.sites(), Some(&res.crash_map));
-        agg.check()
-            .map_err(|e| CliError::campaign(format!("merged aggregate inconsistent: {e}")))?;
-        Ok((summary::inject_summary(self, res, fi), agg))
+    /// The campaign summary block.
+    pub(crate) fn render(&self, res: &EpvfResult, fi: &CampaignResult) -> String {
+        summary::inject_summary(self, res, fi)
     }
 
     /// Write a replayable repro per quarantined run (when asked) and

@@ -18,10 +18,8 @@
 
 use crate::plan::CampaignPlan;
 use crate::{flag_value, parse_inject_opts, resolve, CliError};
-use epvf_llfi::{
-    CampaignAggregate, ChaosConfig, SupervisorConfig, SupervisorEvent, SupervisorReport,
-};
-use epvf_telemetry::{MetricsReport, MetricsSnapshot};
+use epvf_llfi::{CampaignResult, ChaosConfig, SupervisorConfig, SupervisorEvent, SupervisorReport};
+use epvf_telemetry::{Ctr, MetricsReport, MetricsSnapshot};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -253,20 +251,19 @@ fn narrate(event: &SupervisorEvent, shards: usize, dir: &Path) -> Option<String>
 /// recovered runs, but the WAL union *is* the campaign — so these
 /// counters match a single-process run byte-for-byte, which is exactly
 /// what the chaos harness diffs.
-fn write_class_counters(path: &Path, agg: &CampaignAggregate) -> Result<(), CliError> {
+fn write_class_counters(path: &Path, fi: &CampaignResult) -> Result<(), CliError> {
     let mut snap = MetricsSnapshot::default();
-    let mut put = |name: &str, v: u64| {
-        snap.counters
-            .insert(format!("llfi.campaign.runs_{name}"), v);
+    let mut put = |c: Ctr, n: u64| {
+        *snap.counters.entry(c.def().name.to_string()).or_default() += n;
     };
-    put("total", agg.n);
-    put("benign", agg.classes[0]);
-    put("sdc", agg.classes[1]);
-    put("crash", agg.classes[2]);
-    put("hang", agg.classes[3]);
-    put("detected", agg.classes[4]);
-    put("timed_out", agg.classes[5]);
-    put("quarantined", agg.classes[6]);
+    // Every `llfi.campaign.runs_*` counter is written, zero classes too.
+    for c in Ctr::all().filter(|c| c.def().name.starts_with("llfi.campaign.runs_")) {
+        put(c, 0);
+    }
+    put(Ctr::CampaignRunsTotal, fi.n() as u64);
+    for &(_, outcome) in &fi.runs {
+        put(outcome.counter(), 1);
+    }
     MetricsReport::new(snap)
         .with_meta("tool", "epvf")
         .with_meta("command", "run-sharded")
@@ -339,10 +336,9 @@ pub(crate) fn cmd_run_sharded(rest: &[String]) -> Result<(), CliError> {
     };
 
     let res = plan.analyze()?;
-    let (text, agg) = plan.render(&res, &fi)?;
-    print!("{text}");
+    print!("{}", plan.render(&res, &fi));
     if let Some(path) = &sup.counters_out {
-        write_class_counters(path, &agg)?;
+        write_class_counters(path, &fi)?;
     }
     let Some(missing) = missing else {
         return plan.finish(&fi, None, opts.max_unsound);

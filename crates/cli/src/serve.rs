@@ -368,7 +368,7 @@ mod unix {
             plan.merge(&wals)?
         };
 
-        let (text, _) = plan.render(&entry.res, &fi)?;
+        let text = plan.render(&entry.res, &fi);
         for line in text.lines() {
             say(conn, &format!("out {id} {line}"));
         }

@@ -105,7 +105,7 @@ pub(crate) fn cmd_merge(t: Target, rest: &[String]) -> Result<(), CliError> {
     let plan = CampaignPlan::new(&t, config, &opts)?;
     let fi = plan.merge(&wals)?;
     let res = plan.analyze()?;
-    print!("{}", plan.render(&res, &fi)?.0);
+    print!("{}", plan.render(&res, &fi));
 
     if !metrics_in.is_empty() {
         let merged = merge_metrics_files(&metrics_in)?;

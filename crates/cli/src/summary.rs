@@ -11,6 +11,7 @@
 use crate::plan::CampaignPlan;
 use epvf_core::EpvfResult;
 use epvf_llfi::{precision_study, recall_study, CampaignResult, ShardSpec};
+use epvf_telemetry::Ctr;
 use std::fmt::Write;
 
 /// Render the `epvf inject` summary block for a finished campaign.
@@ -106,19 +107,19 @@ pub(crate) fn shard_summary(
     if model_name != epvf_core::DEFAULT_MODEL {
         let _ = writeln!(out, "model     : {model_name}");
     }
-    let agg = epvf_llfi::CampaignAggregate::from_result(fi, campaign.sites(), None);
+    let class = |c: Ctr| fi.count(|o| o.counter() == c);
     let _ = writeln!(
         out,
         "outcomes  : benign {}  sdc {}  crash {}  hang {}  detected {}  timed-out {}  quarantined {}",
-        agg.classes[0],
-        agg.classes[1],
-        agg.classes[2],
-        agg.classes[3],
-        agg.classes[4],
-        agg.classes[5],
-        agg.classes[6],
+        class(Ctr::CampaignRunsBenign),
+        class(Ctr::CampaignRunsSdc),
+        class(Ctr::CampaignRunsCrash),
+        class(Ctr::CampaignRunsHang),
+        class(Ctr::CampaignRunsDetected),
+        class(Ctr::CampaignRunsTimedOut),
+        class(Ctr::CampaignRunsQuarantined),
     );
-    let [sf, a, mma, ae] = agg.crash_kinds;
+    let [sf, a, mma, ae] = fi.crash_kind_counts();
     let _ = writeln!(out, "crashes   : SF {sf}  A {a}  MMA {mma}  AE {ae}");
     out
 }

@@ -35,6 +35,16 @@ fn usage_errors_exit_2() {
         &["inject", "mm:tiny", "10", "1", "--no-such-flag"][..],
         &["inject", "mm:tiny", "10", "1", "--resume"][..],
         &["inject", "mm:tiny", "10", "1", "extra-positional"][..],
+        &["inject", "mm:tiny", "10", "1", "--max-unsound", "nan"][..],
+        &["inject", "mm:tiny", "10", "1", "--max-unsound", "-0.5"][..],
+        &["protect", "mm:tiny", "nan"][..],
+        &["protect", "mm:tiny", "-1"][..],
+        &["protect", "mm:tiny", "0.1", "junk"][..],
+        &["oracle", "mm:tiny", "lud:tiny", "--limit", "50"][..],
+        &["oracle", "--workload", "mm:tiny", "lud:tiny"][..],
+        &["run", "mm:tiny", "extra"][..],
+        &["dump", "mm:tiny", "extra"][..],
+        &["list", "extra"][..],
         &["frobnicate"][..],
     ] {
         let r = epvf(args);

@@ -11,11 +11,10 @@ use crate::propagation::CrashMap;
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{DynValueId, Trace};
 use epvf_ir::{Inst, Module, StaticInstId, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Aggregated bit counts for one opcode class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CensusRow {
     /// Register bits read/written by instructions of this class.
     pub total_bits: u64,
@@ -33,7 +32,7 @@ impl CensusRow {
 }
 
 /// Census over a whole traced run, keyed by opcode mnemonic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BitCensus {
     rows: HashMap<&'static str, CensusRow>,
 }

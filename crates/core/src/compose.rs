@@ -29,34 +29,27 @@ use crate::propagation::{run_over, CrashMap, CrashScope, InstIndex, PropSink, To
 use crate::section_cache::{OpTarget, SectionCache, SummaryOp, SECT_VERSION};
 use epvf_ddg::{build_ddg, AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{section_runs, DynInst, Trace};
+use epvf_ir::hash::Fnv64;
 use epvf_ir::{Module, SectionMap};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a/64 accumulator for cache keys.
-struct Key(u64);
+struct Key(Fnv64);
 
 impl Key {
     fn new() -> Key {
-        Key(FNV64_OFFSET)
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(FNV64_PRIME);
-        }
+        Key(Fnv64::new())
     }
     fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
+        self.0.update(&[v]);
     }
     fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+        self.0.update(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        self.0.update(&v.to_le_bytes());
     }
     fn opt_constraint(&mut self, c: Option<&crate::propagation::Constraint>) {
         match c {
@@ -72,13 +65,6 @@ impl Key {
     }
 }
 
-impl fmt::Write for Key {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
 /// Per-sid FNV-1a/64 of each static instruction's textual form (the
 /// function-local rendering, so it is position-independent across modules).
 fn sid_text_hashes(module: &Module) -> Vec<u64> {
@@ -86,12 +72,12 @@ fn sid_text_hashes(module: &Module) -> Vec<u64> {
     let mut out = vec![0u64; module.n_static_insts as usize];
     for f in &module.functions {
         for inst in f.insts() {
-            let mut k = Key::new();
+            let mut k = Fnv64::new();
             let _ = write!(k, "{inst}");
             if inst.sid.index() >= out.len() {
                 out.resize(inst.sid.index() + 1, 0);
             }
-            out[inst.sid.index()] = k.0;
+            out[inst.sid.index()] = k.finish();
         }
     }
     out
@@ -352,7 +338,7 @@ fn section_key(
             }
         }
     }
-    k.0
+    k.0.finish()
 }
 
 /// Fold one closure record's runtime state into the key: result bits,

@@ -16,10 +16,9 @@
 use crate::range::ValueRange;
 use epvf_interp::MemAccessRec;
 use epvf_memsim::{SegmentKind, DEFAULT_STACK_LIMIT, STACK_GUARD_WINDOW};
-use serde::{Deserialize, Serialize};
 
 /// Crash-model configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashModelConfig {
     /// Apply the Linux stack-expansion rule (§III-D case I). Disabling it
     /// reproduces the naive ~85%-accurate boundary-only model.

@@ -8,11 +8,10 @@ use crate::propagation::{propagate_scoped, CrashMap, CrashScope};
 use epvf_ddg::{build_ddg, AceConfig, AceGraph, Ddg};
 use epvf_interp::Trace;
 use epvf_ir::Module;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Configuration of the whole analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpvfConfig {
     /// ACE-graph options (control roots on/off).
     pub ace: AceConfig,
@@ -23,7 +22,7 @@ pub struct EpvfConfig {
 }
 
 /// Scalar results of one analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpvfMetrics {
     /// Dynamic IR instructions in the trace (Table V column 1).
     pub dyn_insts: u64,

@@ -10,11 +10,10 @@ use crate::propagation::CrashMap;
 use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{DynInst, DynValueId, Trace};
 use epvf_ir::{Module, StaticInstId, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Aggregated vulnerability scores of one static instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstScore {
     /// The static instruction.
     pub sid: StaticInstId,

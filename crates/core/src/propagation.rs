@@ -19,10 +19,9 @@ use crate::range::ValueRange;
 use epvf_ddg::{AceGraph, Ddg, EdgeKind, NodeId, NodeKind};
 use epvf_interp::{DynInst, Trace};
 use epvf_ir::{BinOp, CastOp, Inst, Module, Op, StaticInstId, Value};
-use serde::{Deserialize, Serialize};
 
 /// Which memory accesses trigger the crash model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CrashScope {
     /// Only loads/stores inside the ACE graph — the paper's Algorithm 1.
     /// Faults in non-ACE accesses still crash in reality, which is the
@@ -36,7 +35,7 @@ pub enum CrashScope {
 
 /// One resolved constraint: the allowed range, the golden-run value, and
 /// the bit width it applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraint {
     /// Allowed values (crash outside).
     pub range: ValueRange,

@@ -7,14 +7,13 @@
 //! Algorithm 2, line 14: "bits that make the value of op outside
 //! (new_max, new_min)").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An inclusive `[lo, hi]` range of unsigned 64-bit values.
 ///
 /// The paper's Table III assumes operands are non-negative integers; all
 /// arithmetic here is unsigned with saturation at the boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValueRange {
     /// Smallest allowed value.
     pub lo: u64,

@@ -10,11 +10,11 @@ use crate::crash_model::CrashModelConfig;
 use crate::propagation::propagate;
 use epvf_ddg::{AceGraph, Ddg};
 use epvf_interp::Trace;
+use epvf_ir::hash::SplitMix64;
 use epvf_ir::Module;
-use serde::{Deserialize, Serialize};
 
 /// Result of a partial (sampled) ePVF estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingEstimate {
     /// Fraction of output nodes used (e.g. `0.10`).
     pub fraction: f64,
@@ -93,12 +93,12 @@ pub fn repetitiveness_variance(
     }
     let per_sample =
         ((outputs.len() as f64 * sample_fraction).ceil() as usize).clamp(1, outputs.len());
-    let mut rng = Lcg(seed.max(1));
+    let mut rng = SplitMix64::new(seed.max(1));
     let mut values = Vec::with_capacity(n_samples);
     for _ in 0..n_samples {
         let mut roots = Vec::with_capacity(per_sample);
         for _ in 0..per_sample {
-            roots.push(outputs[(rng.next() as usize) % outputs.len()]);
+            roots.push(outputs[(rng.next_u64() as usize) % outputs.len()]);
         }
         let ace = AceGraph::from_roots(ddg, &roots);
         let map = propagate(module, trace, ddg, &ace, crash);
@@ -120,20 +120,6 @@ fn ratio(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64
-    }
-}
-
-/// A tiny deterministic generator (SplitMix64) so the probe needs no
-/// external RNG dependency and stays reproducible.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 

@@ -4,11 +4,10 @@
 //! (§III-A, Fig. 3c of the paper).
 
 use crate::graph::{Ddg, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Options for the ACE reverse-BFS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AceConfig {
     /// Also root the search at conditional-branch conditions.
     ///
@@ -27,7 +26,7 @@ impl Default for AceConfig {
 }
 
 /// The ACE graph: a subgraph of the DDG (identified by membership bits).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AceGraph {
     in_ace: Vec<bool>,
     nodes: Vec<NodeId>,

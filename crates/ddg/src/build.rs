@@ -3,11 +3,10 @@
 use crate::graph::{Ddg, EdgeKind, Node, NodeId, NodeKind};
 use epvf_interp::{DynInst, DynValueId, Trace};
 use epvf_ir::{Inst, Module, Op, Type, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// DDG construction options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DdgConfig {
     /// Create the paper's *virtual* addressing edges linking loads/stores
     /// to the registers holding their addresses (§III-A). Disabling them is

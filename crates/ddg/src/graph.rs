@@ -9,12 +9,9 @@
 //! model can find address computations.
 
 use epvf_interp::DynValueId;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within a [`Ddg`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -26,7 +23,7 @@ impl NodeId {
 }
 
 /// What a DDG vertex stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// A dynamic register instance (one definition event of a virtual
     /// register).
@@ -51,7 +48,7 @@ impl NodeKind {
 }
 
 /// How a dependency edge relates producer and consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeKind {
     /// Direct dataflow (operand value feeds the result).
     Data,
@@ -61,7 +58,7 @@ pub enum EdgeKind {
 }
 
 /// One DDG vertex.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// What this vertex stands for.
     pub kind: NodeKind,
@@ -75,7 +72,7 @@ pub struct Node {
 }
 
 /// The dynamic dependency graph of one traced run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ddg {
     pub(crate) nodes: Vec<Node>,
     /// Output roots: nodes feeding `output` instructions, in trace order

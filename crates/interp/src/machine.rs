@@ -71,7 +71,7 @@ impl Default for ExecConfig {
 /// A single-bit fault to inject: at dynamic instruction `dyn_idx`, flip
 /// `bit` of the operand in `operand_slot` (slot order = [`Op::operands`])
 /// as it is read from the register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionSpec {
     /// Dynamic index of the target instruction (0-based trace position).
     pub dyn_idx: u64,
@@ -121,7 +121,7 @@ impl std::str::FromStr for InjectionSpec {
 }
 
 /// Where a generalized fault lands within the target instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// Corrupt one source-operand read — the paper's model ("inject faults
     /// into the source registers"). The flip affects only this read.
@@ -135,7 +135,7 @@ pub enum FaultTarget {
 /// A generalized fault: like [`InjectionSpec`] but with an arbitrary XOR
 /// mask (the §II-E multi-bit extension) and a choice of source- vs
 /// destination-register corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiBitSpec {
     /// Dynamic index of the target instruction.
     pub dyn_idx: u64,
@@ -356,16 +356,10 @@ impl<'m> Interpreter<'m> {
     /// replaying only the suffix. The caller must pick a snapshot taken at
     /// or before the injection point (`snapshot.dyn_count() <=
     /// fault.dyn_idx`); otherwise the fault can never fire.
-    pub fn run_fault_from(&self, snapshot: &Snapshot, fault: MachineFault) -> RunResult {
-        let _span = epvf_telemetry::span(Tmr::InterpInjectedRun);
-        let mut exec = Exec::resume(self.module, self.config, snapshot, Some(fault));
-        exec.run_resumed_to_result()
-    }
-
-    /// Like [`Self::run_fault_from`], but additionally watches the golden
-    /// checkpoints in `rendezvous` (those strictly after the injection
-    /// point): if the replayed state becomes identical to one of them, the
-    /// deterministic suffix is bit-identical to the golden run and the
+    ///
+    /// The replay also watches the golden checkpoints in `rendezvous`
+    /// (those strictly after the injection point): if the replayed state
+    /// becomes identical to one of them, the deterministic suffix is bit-identical to the golden run and the
     /// replay ends early with [`ReplayOutcome::Rejoined`] — the fault was
     /// masked. This is what lets a checkpointed campaign skip most of the
     /// post-injection work for benign faults. Faults with lingering state

@@ -2,11 +2,10 @@
 
 use epvf_ir::Type;
 use epvf_memsim::AccessError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The class of hardware exception that terminated a run (paper Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashKind {
     /// Segmentation fault (`SF`): access outside legal segment boundaries.
     Segfault,
@@ -68,7 +67,7 @@ impl fmt::Display for CrashKind {
 /// run's length, so the fault plausibly created an endless loop), while a
 /// timeout is a *supervision* kill — the run blew through a hard resource
 /// cap the campaign placed on it, and its outcome class is unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimeoutKind {
     /// The per-run fuel (dynamic-instruction) budget ran out.
     Fuel,
@@ -93,7 +92,7 @@ impl fmt::Display for TimeoutKind {
 }
 
 /// How a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Ran to completion (output may or may not match the golden run —
     /// benign vs SDC is decided by the caller comparing outputs).
@@ -144,7 +143,7 @@ impl fmt::Display for Outcome {
 }
 
 /// Everything a run produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Terminal outcome.
     pub outcome: Outcome,

@@ -7,7 +7,6 @@
 
 use epvf_ir::{FuncId, StaticInstId, Value, ValueId};
 use epvf_memsim::MemoryMap;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identity of one *dynamic register instance*.
@@ -18,9 +17,7 @@ use std::sync::Arc;
 /// Values passed through calls/returns keep their id (parameter passing and
 /// `ret` are transparent), mirroring the paper's treatment of a value
 /// flowing through registers as a single entity.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct DynValueId(pub u64);
 
 impl DynValueId {
@@ -32,7 +29,7 @@ impl DynValueId {
 }
 
 /// One operand as observed at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperandRec {
     /// The static operand (register / constant / global).
     pub value: Value,
@@ -45,7 +42,7 @@ pub struct OperandRec {
 
 /// A memory access performed by a load or store, with the live segment
 /// boundaries at that instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemAccessRec {
     /// The accessed address.
     pub addr: u64,
@@ -62,7 +59,7 @@ pub struct MemAccessRec {
 }
 
 /// One executed instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynInst {
     /// Position in the dynamic trace (0-based).
     pub idx: u64,
@@ -80,7 +77,7 @@ pub struct DynInst {
 }
 
 /// A complete dynamic trace of one (golden) run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Executed instructions in order.
     pub records: Vec<DynInst>,

@@ -56,8 +56,15 @@ proptest! {
         let scratch = interp
             .run_fault(Workload::ENTRY, &w.args, spec.into())
             .expect("runs");
-        let resumed = interp.run_fault_from(snap, spec.into());
-        prop_assert_eq!(observable(&resumed), observable(&scratch));
+        // With no rendezvous candidates the resumed replay always finishes.
+        match interp.replay_fault_from(snap, spec.into(), &[]) {
+            ReplayOutcome::Finished(resumed) => {
+                prop_assert_eq!(observable(&resumed), observable(&scratch));
+            }
+            ReplayOutcome::Rejoined { .. } => {
+                prop_assert!(false, "rejoined without rendezvous checkpoints");
+            }
+        }
 
         // Rendezvous replay: a rejoin certifies the rest of the run is the
         // golden suffix; a finish must match the from-scratch result.

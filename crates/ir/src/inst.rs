@@ -8,11 +8,10 @@
 
 use crate::types::Type;
 use crate::value::{BlockId, FuncId, StaticInstId, Value, ValueId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Integer comparison predicate (LLVM `icmp`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IcmpPred {
     /// Equal.
     Eq,
@@ -55,7 +54,7 @@ impl fmt::Display for IcmpPred {
 }
 
 /// Floating-point comparison predicate (ordered forms of LLVM `fcmp`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FcmpPred {
     /// Ordered equal.
     Oeq,
@@ -86,7 +85,7 @@ impl fmt::Display for FcmpPred {
 }
 
 /// Two-operand integer arithmetic / bitwise opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Wrapping addition.
     Add,
@@ -147,7 +146,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Two-operand floating-point arithmetic opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FBinOp {
     /// Addition.
     FAdd,
@@ -182,7 +181,7 @@ impl fmt::Display for FBinOp {
 
 /// One-operand floating-point opcode (math-library calls modelled as
 /// instructions so the workloads stay self-contained).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FUnOp {
     /// Negation.
     FNeg,
@@ -222,7 +221,7 @@ impl fmt::Display for FUnOp {
 }
 
 /// Value-conversion opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CastOp {
     /// Truncate an integer to a narrower type.
     Trunc,
@@ -268,7 +267,7 @@ impl fmt::Display for CastOp {
 }
 
 /// The operation performed by an instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing
 pub enum Op {
     /// Integer arithmetic / bitwise: `dst = a <op> b` at type `ty`.
@@ -491,7 +490,7 @@ impl Op {
 
 /// A static instruction: an operation plus its (optional) result register and
 /// its module-unique id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inst {
     /// Module-unique static id (assigned by the builder).
     pub sid: StaticInstId,

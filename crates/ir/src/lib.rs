@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+pub mod hash;
 mod inst;
 mod module;
 mod parse;

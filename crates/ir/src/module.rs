@@ -3,12 +3,11 @@
 use crate::inst::{Inst, Op};
 use crate::types::Type;
 use crate::value::{BlockId, FuncId, GlobalId, StaticInstId, ValueId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A global variable: a named, fixed-size byte region placed in the simulated
 /// data segment before execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Global {
     /// Symbolic name (for printing only).
     pub name: String,
@@ -21,7 +20,7 @@ pub struct Global {
 }
 
 /// A basic block: a straight-line run of instructions ending in a terminator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// This block's id within its function.
     pub id: BlockId,
@@ -55,7 +54,7 @@ impl Block {
 /// Every virtual register (parameter or instruction result) has an entry in
 /// [`Function::value_types`], indexed by [`ValueId`]. The first
 /// `params` entries belong to the parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// This function's id within the module.
     pub id: FuncId,
@@ -101,7 +100,7 @@ impl Function {
 
 /// A whole program: functions plus globals. Function 0 need not be the entry
 /// point; the interpreter is told which function to run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Module {
     /// Module name (for printing).
     pub name: String,

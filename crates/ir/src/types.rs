@@ -4,7 +4,6 @@
 //! bit width ([`Type::bits`]). Pointers are always 64 bits wide, matching the
 //! simulated 64-bit address space of [`epvf-memsim`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A scalar IR type.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(Type::Ptr.bytes(), 8);
 /// assert!(Type::F64.is_float());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Type {
     /// 1-bit boolean (result of comparisons).
     I1,

@@ -7,15 +7,12 @@
 //! accounted.
 
 use crate::types::Type;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a virtual register, unique *within one function*.
 ///
 /// Function parameters occupy the first ids (`0..params.len()`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ValueId(pub u32);
 
 impl ValueId {
@@ -33,9 +30,7 @@ impl fmt::Display for ValueId {
 }
 
 /// Identifier of a basic block, unique within one function.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -53,9 +48,7 @@ impl fmt::Display for BlockId {
 }
 
 /// Identifier of a function within a [`crate::Module`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FuncId(pub u32);
 
 impl FuncId {
@@ -73,9 +66,7 @@ impl fmt::Display for FuncId {
 }
 
 /// Identifier of a global variable within a [`crate::Module`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct GlobalId(pub u32);
 
 impl GlobalId {
@@ -97,9 +88,7 @@ impl fmt::Display for GlobalId {
 /// Static ids survive the trip through the interpreter: every dynamic trace
 /// record points back at the static instruction it executed, which is what
 /// the per-instruction ePVF ranking of §V aggregates over.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct StaticInstId(pub u32);
 
 impl StaticInstId {
@@ -126,7 +115,7 @@ impl fmt::Display for StaticInstId {
 /// assert_eq!(c.as_const_int(), Some(7));
 /// assert!(c.ty_if_const().is_some());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing
 pub enum Value {
     /// A virtual register defined by a parameter or instruction.

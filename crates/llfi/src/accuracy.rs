@@ -8,11 +8,10 @@ use epvf_interp::InjectionSpec;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Recall of crash prediction: of the injections that *did* crash, how many
 /// did the model flag as crash bits?
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecallReport {
     /// Crashing runs the model predicted.
     pub true_positives: usize,
@@ -56,7 +55,7 @@ pub fn recall_study(result: &CampaignResult, crash_map: &CrashMap) -> RecallRepo
 
 /// Precision of crash prediction via targeted injection into predicted
 /// crash bits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionReport {
     /// Targeted injections performed.
     pub injected: usize,

@@ -16,13 +16,12 @@ use epvf_ir::Module;
 use epvf_telemetry::{Ctr, Progress, Tmr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Classified result of one injection run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjOutcome {
     /// Completed with golden-identical output.
     Benign,
@@ -59,7 +58,7 @@ impl InjOutcome {
     /// The outcome-class counter this classification lands in. The seven
     /// classes partition `llfi.campaign.runs_total` — the conservation law
     /// `epvf metrics-check` enforces.
-    pub(crate) fn counter(self) -> Ctr {
+    pub fn counter(self) -> Ctr {
         match self {
             InjOutcome::Benign => Ctr::CampaignRunsBenign,
             InjOutcome::Sdc => Ctr::CampaignRunsSdc,
@@ -74,7 +73,7 @@ impl InjOutcome {
 
 /// How completed-run outputs are compared against the golden run when
 /// classifying SDC vs benign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputCompare {
     /// Compare the printed form (floats at six significant digits) — what
     /// the paper's toolchain effectively does: Rodinia prints results with
@@ -154,7 +153,7 @@ impl Default for CampaignConfig {
 /// deterministic. Collected in [`CampaignResult::quarantines`] and
 /// renderable as a replayable `.repro` file via
 /// [`Campaign::render_quarantine_repro`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineRecord {
     /// Index of the run in the campaign's spec list (draw order).
     pub index: usize,
@@ -167,7 +166,7 @@ pub struct QuarantineRecord {
 }
 
 /// Aggregated campaign results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Per-run `(spec, outcome)` pairs, in draw order.
     pub runs: Vec<(InjectionSpec, InjOutcome)>,
@@ -731,10 +730,10 @@ impl<'m> Campaign<'m> {
             let done = &done;
             let progress = &progress;
             let locals: Vec<Vec<(usize, InjOutcome, Option<QuarantineRecord>)>> =
-                crossbeam::scope(|scope| {
+                std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..threads)
                         .map(|_| {
-                            scope.spawn(move |_| {
+                            scope.spawn(move || {
                                 epvf_telemetry::add(Ctr::CampaignWorkerBatches, 1);
                                 let mut local = Vec::new();
                                 loop {
@@ -756,8 +755,7 @@ impl<'m> Campaign<'m> {
                     // supervised region) loses its local results; the
                     // serial sweep below re-runs whatever it missed.
                     handles.into_iter().filter_map(|h| h.join().ok()).collect()
-                })
-                .unwrap_or_default();
+                });
             for (i, o, q) in locals.into_iter().flatten() {
                 outcomes[i] = Some(o);
                 quarantines.extend(q);

@@ -60,7 +60,7 @@ pub use campaign::{
 pub use sampler::{
     AdaptiveSampler, RateEstimate, RoundInfo, SampledCampaign, SamplerConfig, StratumReport,
 };
-pub use shard::{CampaignAggregate, MergeError, ShardOutcomes, ShardSpec, StratumTally};
+pub use shard::{MergeError, ShardOutcomes, ShardSpec};
 pub use site::{injectable_operand, InjectionSite, SiteTable};
 pub use stats::{ci95, clopper_pearson95, clopper_pearson_f, geomean, mean, wilson95_f};
 pub use supervise::RunSession;

@@ -46,6 +46,7 @@ use crate::stats::{clopper_pearson_f, wilson95_f, Z95};
 use crate::supervise::RunSession;
 use epvf_core::SiteClass;
 use epvf_interp::InjectionSpec;
+use epvf_ir::hash::mix64;
 use epvf_telemetry::{Ctr, Gauge, Progress};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -285,10 +286,8 @@ impl AdaptiveSampler {
             .map(|(h, (class, mut specs))| {
                 // Seed mixes the campaign seed with the stratum position
                 // (SplitMix64 finalizer) so strata draw independent orders.
-                let mut z = cfg.seed ^ (h as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                specs.shuffle(&mut StdRng::seed_from_u64(z ^ (z >> 31)));
+                let z = mix64(cfg.seed ^ (h as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                specs.shuffle(&mut StdRng::seed_from_u64(z));
                 population += specs.len() as u64;
                 Stratum {
                     class,
@@ -645,10 +644,7 @@ mod tests {
                 .find(|(t, _)| *t == tag)
                 .map(|(_, r)| *r)
                 .unwrap_or(0.0);
-            let mut z = spec.dyn_idx ^ 0xd6e8_feb8_6659_fd93;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
+            let z = mix64(spec.dyn_idx ^ 0xd6e8_feb8_6659_fd93);
             if (z as f64 / u64::MAX as f64) < rate {
                 InjOutcome::Sdc
             } else {

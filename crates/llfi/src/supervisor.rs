@@ -43,6 +43,7 @@
 //! shard's WAL prefix is merge-side policy (`epvf run-sharded
 //! --allow-partial`), not supervisor policy.
 
+use epvf_ir::hash::SplitMix64;
 use epvf_telemetry::{add, Ctr};
 use std::fmt;
 use std::io;
@@ -300,25 +301,6 @@ impl SupervisorReport {
     }
 }
 
-/// splitmix64 — tiny, seedable, and good enough for jitter and chaos
-/// coin flips without pulling in an RNG dependency.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1).
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// The jittered exponential backoff before restart number `restart`
 /// (1-based) of `shard`: `2^(restart-1) · base` capped at `cap`, then
 /// jittered into `[delay/2, delay]`. Deterministic in
@@ -328,12 +310,12 @@ pub fn backoff_delay(cfg: &SupervisorConfig, shard: usize, restart: u32) -> Dura
         .backoff_base
         .saturating_mul(1u32 << (restart - 1).min(16))
         .min(cfg.backoff_cap);
-    let mut rng = SplitMix64(
+    let mut rng = SplitMix64::new(
         cfg.seed
             ^ (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ u64::from(restart).wrapping_mul(0xc2b2_ae3d_27d4_eb4f),
     );
-    exp.div_f64(2.0) + exp.div_f64(2.0).mul_f64(rng.unit())
+    exp.div_f64(2.0) + exp.div_f64(2.0).mul_f64(rng.next_f64())
 }
 
 enum ShardState {
@@ -461,7 +443,7 @@ pub fn supervise(
     let mut chaos_rng = cfg
         .chaos
         .as_ref()
-        .map(|c| SplitMix64(c.seed ^ 0xc4a0_59a1_5c4a_0e11));
+        .map(|c| SplitMix64::new(c.seed ^ 0xc4a0_59a1_5c4a_0e11));
     let mut chaos_events = 0u32;
 
     loop {
@@ -511,7 +493,7 @@ pub fn supervise(
                                     // and mid-campaign includes the
                                     // very first record.
                                     if chaos_events < chaos.max_events {
-                                        if rng.unit() < chaos.kill_p {
+                                        if rng.next_f64() < chaos.kill_p {
                                             chaos_events += 1;
                                             report.chaos_kills += 1;
                                             add(Ctr::SupervisorChaosKills, 1);
@@ -522,7 +504,7 @@ pub fn supervise(
                                                 shard: slot.plan.index,
                                                 action: "kill",
                                             });
-                                        } else if rng.unit() < chaos.stop_p {
+                                        } else if rng.next_f64() < chaos.stop_p {
                                             if let ShardState::Running { child, stopped, .. } =
                                                 &mut state
                                             {
@@ -608,7 +590,7 @@ pub fn supervise(
                     // Chaos tick.
                     if let (Some(chaos), Some(rng)) = (&cfg.chaos, &mut chaos_rng) {
                         if chaos_events < chaos.max_events && !*stopped {
-                            if rng.unit() < chaos.kill_p {
+                            if rng.next_f64() < chaos.kill_p {
                                 chaos_events += 1;
                                 report.chaos_kills += 1;
                                 add(Ctr::SupervisorChaosKills, 1);
@@ -617,7 +599,7 @@ pub fn supervise(
                                     shard: slot.plan.index,
                                     action: "kill",
                                 });
-                            } else if rng.unit() < chaos.stop_p {
+                            } else if rng.next_f64() < chaos.stop_p {
                                 chaos_events += 1;
                                 report.chaos_stops += 1;
                                 add(Ctr::SupervisorChaosStops, 1);

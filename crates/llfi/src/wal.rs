@@ -31,6 +31,7 @@
 use crate::campaign::InjOutcome;
 use crate::sampler::SamplerConfig;
 use epvf_interp::{CrashKind, InjectionSpec, TimeoutKind};
+use epvf_ir::hash::{fnv1a32, Fnv64};
 use epvf_telemetry::Ctr;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -62,30 +63,6 @@ fn flush_batch() -> usize {
     })
 }
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV32_OFFSET: u32 = 0x811c_9dc5;
-const FNV32_PRIME: u32 = 0x0100_0193;
-
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    bytes.iter().fold(FNV32_OFFSET, |h, &b| {
-        (h ^ u32::from(b)).wrapping_mul(FNV32_PRIME)
-    })
-}
-
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(FNV64_OFFSET)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV64_PRIME);
-        }
-    }
-}
-
 /// Hash the identity every campaign fingerprint starts from: module
 /// text, entry, and args.
 fn campaign_prefix(module_text: &str, entry: &str, args: &[u64]) -> Fnv64 {
@@ -108,7 +85,7 @@ fn model_domain(mut h: Fnv64, model_name: &str) -> u64 {
         h.update(&[0xfc]);
         h.update(model_name.as_bytes());
     }
-    h.0
+    h.finish()
 }
 
 /// Fingerprint of one exact campaign invocation: module text, entry,
@@ -146,11 +123,11 @@ pub fn wal_fingerprint_shard(base: u64, index: usize, of: usize) -> u64 {
     if of <= 1 {
         return base;
     }
-    let mut h = Fnv64(base);
+    let mut h = Fnv64::resume(base);
     h.update(&[0xfb]);
     h.update(&(index as u64).to_le_bytes());
     h.update(&(of as u64).to_le_bytes());
-    h.0
+    h.finish()
 }
 
 /// Read just the fingerprint from a WAL header without recovering the

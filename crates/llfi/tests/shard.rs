@@ -7,9 +7,8 @@
 use epvf_interp::InjectionSpec;
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
 use epvf_llfi::{
-    read_wal_fingerprint, wal_fingerprint_model, wal_fingerprint_shard, Campaign,
-    CampaignAggregate, CampaignConfig, CampaignResult, RunSession, ShardOutcomes, ShardSpec,
-    WalError, WalSink,
+    read_wal_fingerprint, wal_fingerprint_model, wal_fingerprint_shard, Campaign, CampaignConfig,
+    CampaignResult, RunSession, ShardOutcomes, ShardSpec, WalError, WalSink,
 };
 use std::collections::BTreeMap;
 
@@ -179,29 +178,4 @@ fn shard_wal_rejects_the_wrong_partition_geometry() {
     // The correct geometry still recovers.
     assert!(WalSink::recover(&path, fp_1_4).is_ok());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn per_shard_aggregates_merge_to_the_whole_campaign_aggregate() {
-    let m = kernel_module(40);
-    let campaign = Campaign::new(&m, "main", &[], CampaignConfig::default()).expect("golden");
-    let specs = campaign.draw_specs(160, 31);
-    let whole = campaign.run_specs(&specs);
-    let whole_agg = CampaignAggregate::from_result(&whole, campaign.sites(), None);
-    whole_agg.check().expect("whole aggregate consistent");
-
-    for of in [2usize, 5] {
-        let mut merged = CampaignAggregate::empty();
-        for index in 0..of {
-            let shard = ShardSpec::new(index, of).unwrap();
-            let part = run_shard(&campaign, &specs, shard, None);
-            let agg = CampaignAggregate::from_result(&part, campaign.sites(), None);
-            agg.check().expect("shard aggregate consistent");
-            merged = merged.merge(&agg);
-        }
-        assert_eq!(
-            merged, whole_agg,
-            "{of} per-shard aggregates fold to the whole-campaign cells"
-        );
-    }
 }

@@ -1,7 +1,6 @@
 //! Memory access faults — the hardware-exception outcomes of Table I of the
 //! paper that originate in the memory system.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A faulting memory operation.
@@ -9,7 +8,7 @@ use std::fmt;
 /// `Segfault` and `Misaligned` correspond to the paper's `SF` and `MMA`
 /// crash classes; `InvalidFree` and `OutOfMemory` surface as the `Abort`
 /// class (the program/OS aborting itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessError {
     /// Access outside any valid region (Linux would deliver SIGSEGV).
     Segfault {

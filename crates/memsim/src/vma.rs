@@ -6,11 +6,10 @@
 //! boundaries").
 
 use crate::memory::{AlignmentPolicy, PAGE_SIZE, STACK_GUARD_WINDOW};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which process segment a [`Vma`] belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegmentKind {
     /// Program text (simulated code addresses; never accessed as data by the
     /// workloads, but present so wild pointers can land in it).
@@ -36,7 +35,7 @@ impl fmt::Display for SegmentKind {
 }
 
 /// One contiguous mapped region `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Vma {
     /// Inclusive start address (`vma_start` in the paper's Algorithm 3).
     pub start: u64,
@@ -77,7 +76,7 @@ impl fmt::Display for Vma {
 ///
 /// Snapshots are recorded into the dynamic trace at every memory access and
 /// consumed later by the crash model's `CHECK_BOUNDARY` (paper Algorithm 3).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemoryMap {
     vmas: Vec<Vma>,
 }

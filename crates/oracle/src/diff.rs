@@ -22,12 +22,11 @@ use epvf_interp::{FaultEffect, InjectionSpec};
 use epvf_ir::{Module, Op};
 use epvf_llfi::{Campaign, CampaignConfig, InjOutcome};
 use epvf_memsim::AlignmentPolicy;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Exact confusion matrix of crash prediction over the executed flips.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Confusion {
     /// Predicted crash, did crash.
     pub tp: u64,
@@ -73,7 +72,7 @@ impl Confusion {
 }
 
 /// How a single flip contradicted a model claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DisagreementKind {
     /// The flip crashed but the model claimed it safe (false negative).
     MissedCrash,
@@ -98,7 +97,7 @@ impl DisagreementKind {
 
 /// One model-vs-ground-truth contradiction, with enough context to explain
 /// and replay it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Disagreement {
     /// The flip.
     pub spec: InjectionSpec,
@@ -112,7 +111,7 @@ pub struct Disagreement {
 }
 
 /// Result of scoring one workload's models against its ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DiffReport {
     /// Crash-prediction confusion matrix.
     pub confusion: Confusion,
@@ -125,7 +124,7 @@ pub struct DiffReport {
 }
 
 /// A violated hard invariant: something no model approximation excuses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HardViolation {
     /// The flip that exposed it, where one exists.
     pub spec: Option<InjectionSpec>,

@@ -9,11 +9,10 @@
 
 use epvf_interp::InjectionSpec;
 use epvf_llfi::{Campaign, InjOutcome};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of every executed `(site, bit)` flip of one workload, in
 /// enumeration (trace) order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroundTruth {
     /// One entry per executed flip.
     pub runs: Vec<(InjectionSpec, InjOutcome)>,

@@ -1,9 +1,9 @@
 //! Merge-algebra property tests for sharded campaigns, driven by the
 //! generated-program corpus.
 //!
-//! The byte-identical-merge contract rests on `ShardOutcomes` /
-//! `CampaignAggregate` forming a commutative monoid under `merge` whose
-//! fold is invariant in the shard count. These tests check the laws on
+//! The byte-identical-merge contract rests on `ShardOutcomes` forming a
+//! commutative monoid under `merge` whose fold is invariant in the shard
+//! count. These tests check the laws on
 //! real campaign results over random `Recipe` programs rather than
 //! synthetic outcome maps, so any outcome class the interpreter can
 //! actually produce (benign, SDC, every crash kind, detection) flows
@@ -11,8 +11,8 @@
 
 use epvf_interp::InjectionSpec;
 use epvf_llfi::{
-    Campaign, CampaignAggregate, CampaignConfig, CampaignError, CampaignResult, MergeError,
-    RunSession, ShardOutcomes, ShardSpec,
+    Campaign, CampaignConfig, CampaignError, CampaignResult, MergeError, RunSession, ShardOutcomes,
+    ShardSpec,
 };
 use epvf_oracle::{GenConfig, Recipe};
 use rand::rngs::StdRng;
@@ -156,44 +156,5 @@ fn incomplete_shard_sets_are_rejected() {
             }
             other => panic!("expected Incomplete, got {other:?}"),
         }
-    });
-}
-
-/// `CampaignAggregate` forms the same commutative monoid, and the merged
-/// aggregate both equals the whole-campaign aggregate and satisfies its
-/// own internal conservation checks.
-#[test]
-fn aggregate_merge_laws_hold_on_the_corpus() {
-    for_corpus(|campaign, specs, whole| {
-        let whole_agg = CampaignAggregate::from_result(whole, campaign.sites(), None);
-        whole_agg.check().expect("whole aggregate consistent");
-
-        for of in [1usize, 2, 7] {
-            let aggs: Vec<CampaignAggregate> = (0..of)
-                .map(|i| {
-                    let shard = ShardSpec::new(i, of).unwrap();
-                    let part = run_shard(campaign, specs, shard);
-                    let agg = CampaignAggregate::from_result(&part, campaign.sites(), None);
-                    agg.check().expect("shard aggregate consistent");
-                    agg
-                })
-                .collect();
-            let forward = aggs
-                .iter()
-                .fold(CampaignAggregate::empty(), |acc, a| acc.merge(a));
-            let reverse = aggs
-                .iter()
-                .rev()
-                .fold(CampaignAggregate::empty(), |acc, a| acc.merge(a));
-            assert_eq!(forward, reverse, "aggregate merge is commutative");
-            assert_eq!(
-                forward, whole_agg,
-                "{of} shard aggregates fold to the whole campaign"
-            );
-            forward.check().expect("merged aggregate consistent");
-        }
-        // Identity.
-        assert_eq!(CampaignAggregate::empty().merge(&whole_agg), whole_agg);
-        assert_eq!(whole_agg.merge(&CampaignAggregate::empty()), whole_agg);
     });
 }

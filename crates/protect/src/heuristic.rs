@@ -10,11 +10,10 @@ use crate::transform::{duplicable_slice, duplicate_instructions};
 use epvf_core::InstScore;
 use epvf_interp::{ExecConfig, Interpreter};
 use epvf_ir::{Module, StaticInstId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// How to order candidate instructions for protection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankingStrategy {
     /// Descending mean ePVF (paper §V).
     Epvf,

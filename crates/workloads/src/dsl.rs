@@ -1,6 +1,7 @@
 //! Small construction helpers shared by the benchmark ports: counted loops
 //! with loop-carried values, and deterministic input generation.
 
+use epvf_ir::hash::SplitMix64;
 use epvf_ir::{FunctionBuilder, IcmpPred, Type, Value};
 
 /// Build a counted `for i in lo..hi` loop with `carried` loop-carried
@@ -64,26 +65,22 @@ pub fn for_simple(
 /// used both to initialize workload globals and by the Rust reference
 /// implementations the tests compare against.
 #[derive(Debug, Clone)]
-pub struct InputStream(u64);
+pub struct InputStream(SplitMix64);
 
 impl InputStream {
     /// Seeded stream.
     pub fn new(seed: u64) -> Self {
-        InputStream(seed.wrapping_mul(2).wrapping_add(1))
+        InputStream(SplitMix64::new(seed.wrapping_mul(2).wrapping_add(1)))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Next float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        self.0.next_f64()
     }
 
     /// Next integer in `[0, bound)`.
