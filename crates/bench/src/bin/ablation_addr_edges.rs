@@ -4,7 +4,9 @@
 //! recall with them.
 
 use epvf_bench::{analyze_workload, pct, print_table, HarnessOpts};
-use epvf_core::{build_ddg_with, propagate, AceConfig, AceGraph, CrashModelConfig, DdgConfig};
+use epvf_core::{
+    build_ddg_with, propagate_scoped, AceConfig, AceGraph, CrashModelConfig, CrashScope, DdgConfig,
+};
 use epvf_llfi::recall_study;
 
 fn main() {
@@ -19,12 +21,13 @@ fn main() {
 
         let ddg_no = build_ddg_with(&w.module, trace, DdgConfig { addr_edges: false });
         let ace_no = AceGraph::compute(&ddg_no, AceConfig::default());
-        let map_no = propagate(
+        let map_no = propagate_scoped(
             &w.module,
             trace,
             &ddg_no,
             &ace_no,
             CrashModelConfig::default(),
+            CrashScope::AceOnly,
         );
         let no_recall = recall_study(&fi, &map_no).recall();
 

@@ -15,12 +15,10 @@
 use epvf_bench::{analyze_workload, pct, print_table, HarnessOpts};
 use epvf_core::{analyze, EpvfConfig};
 use epvf_interp::ExecConfig;
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_llfi::{predicted_crash_specs, recall_study, Campaign, CampaignConfig, InjOutcome};
 use epvf_memsim::MemConfig;
 use epvf_workloads::Workload;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 fn campaign_with_slack<'m>(w: &'m Workload, slack: u64) -> Campaign<'m> {
     let cfg = CampaignConfig {
@@ -42,12 +40,12 @@ fn main() {
     let mut rows = Vec::new();
     for w in opts.workloads() {
         let a = analyze_workload(&w); // strict model (slack 0)
-        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(opts.seed);
         let specs: Vec<_> = (0..opts.runs)
             .map(|_| a.campaign.sites().sample(&mut rng))
             .collect();
         let mut targeted = predicted_crash_specs(&a.campaign, &a.analysis.crash_map);
-        targeted.shuffle(&mut rng);
+        rng.shuffle(&mut targeted);
         targeted.truncate((opts.runs / 2).max(100));
 
         let mut cells = vec![w.name.to_string()];

@@ -7,9 +7,8 @@
 
 use epvf_bench::{analyze_workload, pct, print_table, HarnessOpts};
 use epvf_interp::{ExecConfig, FaultTarget, Interpreter, MultiBitSpec, Outcome};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_workloads::Workload;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -25,7 +24,7 @@ fn main() {
                 ..ExecConfig::default()
             },
         );
-        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(opts.seed);
 
         // Source-operand faults: uniform over (register read, bit).
         let src_specs: Vec<MultiBitSpec> = (0..opts.runs)
@@ -42,11 +41,11 @@ fn main() {
             .collect();
         let dst_specs: Vec<MultiBitSpec> = (0..opts.runs)
             .map(|_| {
-                let (idx, width) = defs[rng.gen_range(0..defs.len())];
+                let (idx, width) = defs[rng.below(defs.len() as u64) as usize];
                 MultiBitSpec {
                     dyn_idx: idx,
                     target: FaultTarget::Result,
-                    mask: 1u64 << rng.gen_range(0..width),
+                    mask: 1u64 << rng.below(u64::from(width)),
                 }
             })
             .collect();

@@ -5,12 +5,11 @@
 
 use epvf_bench::{pct, print_table, timed, HarnessOpts};
 use epvf_core::{analyze, CrashScope, EpvfConfig};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_llfi::Campaign;
 use epvf_oracle::{
     check_module_with, differential_check, hard_invariant_scan, sweep, Confusion, GenConfig, Recipe,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Generated programs in the pooled differential section.
 const GEN_PROGRAMS: usize = 200;
@@ -56,7 +55,7 @@ fn main() {
     // Generated programs, scored with AllAccesses (random programs are
     // dense in never-output stores, which ACE-only scoping deliberately
     // ignores — see DESIGN.md §8).
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(opts.seed);
     let scope = EpvfConfig {
         scope: CrashScope::AllAccesses,
         ..EpvfConfig::default()

@@ -12,10 +12,9 @@
 
 use epvf_bench::{analyze_workload, pct, print_table, HarnessOpts};
 use epvf_interp::{ExecConfig, Interpreter, Outcome};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_ir::Op;
 use epvf_workloads::Workload;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -24,7 +23,7 @@ fn main() {
         let a = analyze_workload(&w);
         let golden = a.golden().clone();
         let trace = golden.trace.as_ref().expect("traced");
-        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(opts.seed);
 
         // Sample model-SDC-capable sites: register reads that are not
         // predicted crash bits.

@@ -258,17 +258,13 @@ impl<'m> Analyzed<'m> {
 /// # Panics
 /// Panics if the workload fails to run (construction bug).
 pub fn analyze_workload(w: &Workload) -> Analyzed<'_> {
-    analyze_workload_with(w, CampaignConfig::default())
-}
-
-/// Golden-run + ePVF-analyse one workload with an explicit campaign
-/// configuration (e.g. [`HarnessOpts::campaign_config`]).
-///
-/// # Panics
-/// Panics if the workload fails to run (construction bug).
-pub fn analyze_workload_with(w: &Workload, config: CampaignConfig) -> Analyzed<'_> {
-    let campaign = Campaign::new(&w.module, Workload::ENTRY, &w.args, config)
-        .expect("workload golden run succeeds");
+    let campaign = Campaign::new(
+        &w.module,
+        Workload::ENTRY,
+        &w.args,
+        CampaignConfig::default(),
+    )
+    .expect("workload golden run succeeds");
     let trace = campaign.golden().trace.as_ref().expect("golden is traced");
     let analysis = analyze(&w.module, trace, EpvfConfig::default());
     Analyzed {

@@ -24,16 +24,15 @@
 //!    differently and misses; misses merely recompute.
 
 use crate::crash_model::check_boundary;
-use crate::epvf::{compute_metrics, EpvfConfig, EpvfResult};
+use crate::epvf::{analyze_with, EpvfConfig, EpvfResult};
 use crate::propagation::{run_over, CrashMap, CrashScope, InstIndex, PropSink, TouchSet};
 use crate::section_cache::{OpTarget, SectionCache, SummaryOp, SECT_VERSION};
-use epvf_ddg::{build_ddg, AceGraph, Ddg, NodeId, NodeKind};
+use epvf_ddg::{AceGraph, Ddg, NodeId, NodeKind};
 use epvf_interp::{section_runs, DynInst, Trace};
 use epvf_ir::hash::Fnv64;
 use epvf_ir::{Module, SectionMap};
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
 
 /// FNV-1a/64 accumulator for cache keys.
 struct Key(Fnv64);
@@ -94,29 +93,9 @@ pub fn analyze_compositional(
     config: EpvfConfig,
     cache: &mut SectionCache,
 ) -> EpvfResult {
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreAnalyses, 1);
-    epvf_telemetry::add(epvf_telemetry::Ctr::CoreTraceLen, trace.len() as u64);
-    let t0 = Instant::now();
-    let ddg = build_ddg(module, trace);
-    let ace = AceGraph::compute(&ddg, config.ace);
-    let graph_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let crash_map = {
-        let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
-        compose_model(module, trace, &ddg, &ace, config, cache)
-    };
-    let model_time = t1.elapsed();
-
-    let metrics = compute_metrics(
-        module, trace, &ddg, &ace, &crash_map, graph_time, model_time,
-    );
-    EpvfResult {
-        ddg,
-        ace,
-        crash_map,
-        metrics,
-    }
+    analyze_with(module, trace, config, |ddg, ace| {
+        compose_model(module, trace, ddg, ace, config, cache)
+    })
 }
 
 fn compose_model(
@@ -127,6 +106,7 @@ fn compose_model(
     config: EpvfConfig,
     cache: &mut SectionCache,
 ) -> CrashMap {
+    let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CorePropagate);
     let sections = SectionMap::build(module);
     let runs = section_runs(trace, |sid| sections.section_of(sid));
     let index = InstIndex::new(module);

@@ -110,6 +110,20 @@ pub fn trace_use_bits(module: &Module, trace: &Trace) -> u64 {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn analyze(module: &Module, trace: &Trace, config: EpvfConfig) -> EpvfResult {
+    analyze_with(module, trace, config, |ddg, ace| {
+        propagate_scoped(module, trace, ddg, ace, config.crash, config.scope)
+    })
+}
+
+/// The one analysis body: DDG and ACE graph, then `model` (which opens the
+/// `CorePropagate` span), then metrics. [`analyze`] passes the monolithic
+/// walk; [`crate::analyze_compositional`] passes the section-cached one.
+pub(crate) fn analyze_with(
+    module: &Module,
+    trace: &Trace,
+    config: EpvfConfig,
+    model: impl FnOnce(&Ddg, &AceGraph) -> CrashMap,
+) -> EpvfResult {
     epvf_telemetry::add(epvf_telemetry::Ctr::CoreAnalyses, 1);
     epvf_telemetry::add(epvf_telemetry::Ctr::CoreTraceLen, trace.len() as u64);
     let t0 = Instant::now();
@@ -118,7 +132,7 @@ pub fn analyze(module: &Module, trace: &Trace, config: EpvfConfig) -> EpvfResult
     let graph_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let crash_map = propagate_scoped(module, trace, &ddg, &ace, config.crash, config.scope);
+    let crash_map = model(&ddg, &ace);
     let model_time = t1.elapsed();
 
     let metrics = compute_metrics(

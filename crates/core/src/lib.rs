@@ -9,7 +9,7 @@
 //! 2. **Crash model** ([`check_boundary`], Algorithm 3): valid address
 //!    ranges per access from the traced segment snapshots, with the Linux
 //!    stack-expansion rule (`SP − 65536 − 128`, 8 MiB rlimit).
-//! 3. **Propagation model** ([`propagate`], Algorithms 1–2 + Table III):
+//! 3. **Propagation model** ([`propagate_scoped`], Algorithms 1–2 + Table III):
 //!    invert instruction semantics backwards along each address's slice,
 //!    yielding the `CRASHING_BIT_LIST` ([`CrashMap`]).
 //! 4. **ePVF** ([`analyze`], Eq. 2): subtract crash bits from ACE bits.
@@ -69,9 +69,7 @@ pub use fault_model::{
     FaultModel, InstSkip, SingleBitFlip, StoreAddr, WrongBranch, DEFAULT_ECC_WINDOW, DEFAULT_MODEL,
 };
 pub use per_inst::{cdf, per_instruction_scores, InstScore};
-pub use propagation::{
-    operand_range, propagate, propagate_scoped, Constraint, CrashMap, CrashScope,
-};
+pub use propagation::{operand_range, propagate_scoped, Constraint, CrashMap, CrashScope};
 pub use range::ValueRange;
 pub use sampling::{repetitiveness_variance, sampled_epvf, SamplingEstimate};
 pub use section_cache::{CacheStats, SectionCache};

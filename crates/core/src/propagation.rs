@@ -523,20 +523,10 @@ pub fn operand_range(op: &Op, slot: usize, rec: &DynInst, dest: ValueRange) -> O
     Some(out)
 }
 
-/// Run Algorithms 1–3 over a traced run: for each ACE load/store, bound the
-/// address by the crash model and propagate the bound along the backward
-/// slice. Returns the populated [`CrashMap`].
-pub fn propagate(
-    module: &Module,
-    trace: &Trace,
-    ddg: &Ddg,
-    ace: &AceGraph,
-    config: CrashModelConfig,
-) -> CrashMap {
-    propagate_scoped(module, trace, ddg, ace, config, CrashScope::AceOnly)
-}
-
-/// [`propagate`] with an explicit [`CrashScope`].
+/// Run Algorithms 1–3 over a traced run: for each load/store in `scope`
+/// (the paper's default is [`CrashScope::AceOnly`]), bound the address by
+/// the crash model and propagate the bound along the backward slice.
+/// Returns the populated [`CrashMap`].
 pub fn propagate_scoped(
     module: &Module,
     trace: &Trace,
@@ -953,7 +943,7 @@ mod tests {
         let t = r.trace.expect("trace");
         let ddg = build_ddg(&m, &t);
         let ace = AceGraph::compute(&ddg, AceConfig::default());
-        let map = propagate(&m, &t, &ddg, &ace, CrashModelConfig::default());
+        let map = propagate_scoped(&m, &t, &ddg, &ace, Default::default(), CrashScope::AceOnly);
         (m, t, ddg, ace, map)
     }
 
@@ -1075,8 +1065,8 @@ mod tests {
         let t = r.trace.expect("trace");
         let ddg = build_ddg(&m, &t);
         let ace = AceGraph::compute(&ddg, AceConfig::default());
-        let full = propagate(&m, &t, &ddg, &ace, CrashModelConfig::default());
-        let naive = propagate(
+        let full = propagate_scoped(&m, &t, &ddg, &ace, Default::default(), CrashScope::AceOnly);
+        let naive = propagate_scoped(
             &m,
             &t,
             &ddg,
@@ -1085,6 +1075,7 @@ mod tests {
                 stack_rule: false,
                 ..CrashModelConfig::default()
             },
+            CrashScope::AceOnly,
         );
         let store = t
             .iter()
@@ -1125,7 +1116,7 @@ mod tests {
         let t = r.trace.expect("trace");
         let ddg = build_ddg(&m, &t);
         let ace = AceGraph::compute(&ddg, AceConfig::default());
-        let map = propagate(&m, &t, &ddg, &ace, CrashModelConfig::default());
+        let map = propagate_scoped(&m, &t, &ddg, &ace, Default::default(), CrashScope::AceOnly);
         // The `store ptr data, cell` record: its *value* operand (slot 0)
         // holds an address that is later dereferenced → constrained.
         let ptr_store = t
@@ -1161,7 +1152,14 @@ mod tests {
         let t = w.golden().trace.expect("trace");
         let ddg = build_ddg(&w.module, &t);
         let ace = AceGraph::compute(&ddg, AceConfig::default());
-        let map = propagate(&w.module, &t, &ddg, &ace, CrashModelConfig::default());
+        let map = propagate_scoped(
+            &w.module,
+            &t,
+            &ddg,
+            &ace,
+            CrashModelConfig::default(),
+            CrashScope::AceOnly,
+        );
         (t, ddg, map)
     }
 

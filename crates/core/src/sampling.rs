@@ -7,7 +7,7 @@
 //! program is repetitive enough for the extrapolation to be trusted.
 
 use crate::crash_model::CrashModelConfig;
-use crate::propagation::propagate;
+use crate::propagation::{propagate_scoped, CrashScope};
 use epvf_ddg::{AceGraph, Ddg};
 use epvf_interp::Trace;
 use epvf_ir::hash::SplitMix64;
@@ -55,7 +55,7 @@ pub fn sampled_epvf(
     let mut roots: Vec<_> = ddg.outputs().iter().take(take_out).copied().collect();
     roots.extend(ddg.controls().iter().take(take_ctl).copied());
     let ace = AceGraph::from_roots(ddg, &roots);
-    let crash_map = propagate(module, trace, ddg, &ace, crash);
+    let crash_map = propagate_scoped(module, trace, ddg, &ace, crash, CrashScope::AceOnly);
 
     let total = ddg.total_register_bits();
     let partial_vulnerable = ace
@@ -101,7 +101,7 @@ pub fn repetitiveness_variance(
             roots.push(outputs[(rng.next_u64() as usize) % outputs.len()]);
         }
         let ace = AceGraph::from_roots(ddg, &roots);
-        let map = propagate(module, trace, ddg, &ace, crash);
+        let map = propagate_scoped(module, trace, ddg, &ace, crash, CrashScope::AceOnly);
         let vulnerable = ace
             .register_bits()
             .saturating_sub(map.ace_register_crash_bits(ddg, &ace));

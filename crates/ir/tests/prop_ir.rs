@@ -79,3 +79,27 @@ proptest! {
         prop_assert_eq!(u64::from(module.n_static_insts), u64::from(n));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+    /// The property-test stand-in carries its own copy of the workspace
+    /// generator; both must draw one stream, so property cases stay the
+    /// ones recorded against `Xoshiro256pp`. Each property is seeded with
+    /// the FNV-1a/64 of its name.
+    #[test]
+    fn proptest_draws_the_xoshiro_stream(
+        drawn in (
+            any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(),
+            0u64..1000, 0u64..3, 1u64..=1, 0u64..=u64::MAX,
+        )
+    ) {
+        let mut seed = epvf_ir::hash::Fnv64::new();
+        seed.update(b"proptest_draws_the_xoshiro_stream");
+        let mut r = epvf_ir::hash::Xoshiro256pp::seed_from_u64(seed.finish());
+        let expected = (
+            r.next_u64(), r.next_u64(), r.next_u64(), r.next_u64(),
+            r.below(1000), r.below(3), 1 + r.below(1), r.next_u64(),
+        );
+        prop_assert_eq!(drawn, expected);
+    }
+}

@@ -5,9 +5,7 @@ use crate::campaign::{Campaign, CampaignResult, InjOutcome};
 use crate::site::injectable_operand;
 use epvf_core::CrashMap;
 use epvf_interp::InjectionSpec;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use epvf_ir::hash::Xoshiro256pp;
 
 /// Recall of crash prediction: of the injections that *did* crash, how many
 /// did the model flag as crash bits?
@@ -118,8 +116,7 @@ pub fn precision_study(
 ) -> PrecisionReport {
     let mut specs = predicted_crash_specs(campaign, crash_map);
     let candidates = specs.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    specs.shuffle(&mut rng);
+    Xoshiro256pp::seed_from_u64(seed).shuffle(&mut specs);
     specs.truncate(n);
     let result = campaign.run_specs(&specs);
     let crashed = result.count(InjOutcome::is_crash);

@@ -12,10 +12,9 @@ use epvf_interp::{
     CrashKind, ExecConfig, ExecError, InjectionSpec, Interpreter, Outcome, ReplayOutcome,
     RunResult, Snapshot, TimeoutKind,
 };
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_ir::Module;
 use epvf_telemetry::{Ctr, Progress, Tmr};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -258,11 +257,6 @@ impl CampaignResult {
     /// 95% confidence interval of the crash rate.
     pub fn crash_rate_ci95(&self) -> (f64, f64) {
         ci95(self.count(InjOutcome::is_crash), self.n())
-    }
-
-    /// 95% confidence interval of the SDC rate.
-    pub fn sdc_rate_ci95(&self) -> (f64, f64) {
-        ci95(self.count(|o| o == InjOutcome::Sdc), self.n())
     }
 }
 
@@ -657,7 +651,7 @@ impl<'m> Campaign<'m> {
     /// this to fingerprint the campaign and diff a recovered WAL against
     /// the full spec list.
     pub fn draw_specs(&self, n: usize, seed: u64) -> Vec<InjectionSpec> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
         (0..n).map(|_| self.sites.sample(&mut rng)).collect()
     }
 

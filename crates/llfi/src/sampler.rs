@@ -46,11 +46,8 @@ use crate::stats::{clopper_pearson_f, wilson95_f, Z95};
 use crate::supervise::RunSession;
 use epvf_core::SiteClass;
 use epvf_interp::InjectionSpec;
-use epvf_ir::hash::mix64;
+use epvf_ir::hash::{mix64, Xoshiro256pp};
 use epvf_telemetry::{Ctr, Gauge, Progress};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Tuning for an adaptive sampled campaign.
@@ -287,7 +284,7 @@ impl AdaptiveSampler {
                 // Seed mixes the campaign seed with the stratum position
                 // (SplitMix64 finalizer) so strata draw independent orders.
                 let z = mix64(cfg.seed ^ (h as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                specs.shuffle(&mut StdRng::seed_from_u64(z));
+                Xoshiro256pp::seed_from_u64(z).shuffle(&mut specs);
                 population += specs.len() as u64;
                 Stratum {
                     class,

@@ -9,8 +9,8 @@
 
 use epvf_core::{BitBand, FaultCtx, FaultModel, OpClass, OpClassTable, OperandKind, SiteClass};
 use epvf_interp::{InjectionSpec, Trace};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_ir::Module;
-use rand::Rng;
 
 // The single definition of "injectable site" lives in `epvf_core` next to
 // the fault models that reinterpret it; re-exported here for the random
@@ -153,9 +153,9 @@ impl SiteTable {
     ///
     /// # Panics
     /// Panics if the table is empty.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> InjectionSpec {
+    pub fn sample(&self, rng: &mut Xoshiro256pp) -> InjectionSpec {
         assert!(!self.is_empty(), "no injectable sites");
-        let x = rng.gen_range(0..self.total_bits());
+        let x = rng.below(self.total_bits());
         let i = self.cum.partition_point(|&c| c <= x);
         let site = self.sites[i];
         let prev = if i == 0 { 0 } else { self.cum[i - 1] };
@@ -173,8 +173,6 @@ mod tests {
     use super::*;
     use epvf_interp::{ExecConfig, Interpreter};
     use epvf_ir::{ModuleBuilder, Type, Value};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn table() -> SiteTable {
         let mut mb = ModuleBuilder::new("t");
@@ -203,7 +201,7 @@ mod tests {
     #[test]
     fn sampling_respects_widths_and_bounds() {
         let t = table();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
         let mut hit_wide = 0;
         for _ in 0..2000 {
             let s = t.sample(&mut rng);
@@ -232,7 +230,7 @@ mod tests {
             .windows(2)
             .all(|w| (w[0].dyn_idx, w[0].operand_slot, w[0].bit)
                 < (w[1].dyn_idx, w[1].operand_slot, w[1].bit)));
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
         for _ in 0..200 {
             let s = t.sample(&mut rng);
             assert!(specs.contains(&s));
@@ -271,11 +269,11 @@ mod tests {
     fn deterministic_for_same_seed() {
         let t = table();
         let a: Vec<_> = {
-            let mut rng = StdRng::seed_from_u64(3);
+            let mut rng = Xoshiro256pp::seed_from_u64(3);
             (0..50).map(|_| t.sample(&mut rng)).collect()
         };
         let b: Vec<_> = {
-            let mut rng = StdRng::seed_from_u64(3);
+            let mut rng = Xoshiro256pp::seed_from_u64(3);
             (0..50).map(|_| t.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);

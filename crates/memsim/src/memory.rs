@@ -504,11 +504,6 @@ impl SimMemory {
         }
     }
 
-    /// Read raw bytes without access checks (result extraction only).
-    pub fn read_bytes_raw(&self, addr: u64, len: u64) -> Vec<u8> {
-        (0..len).map(|i| self.peek_byte(addr + i)).collect()
-    }
-
     fn peek_byte(&self, addr: u64) -> u8 {
         let (page, off) = split(addr);
         match self.pages.get(&page) {
@@ -539,11 +534,6 @@ impl SimMemory {
             }
         };
         Arc::make_mut(p)
-    }
-
-    /// Number of materialized pages (memory footprint diagnostics).
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
     }
 }
 

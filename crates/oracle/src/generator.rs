@@ -16,8 +16,8 @@
 //! diamonds (control-flow masking), and phi-carrying loops (the paper's
 //! loop-guard masking case).
 
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
-use rand::Rng;
 use std::fmt;
 use std::str::FromStr;
 
@@ -106,8 +106,8 @@ pub struct Recipe {
 
 impl Recipe {
     /// Draw a random recipe.
-    pub fn random<R: Rng>(rng: &mut R, config: &GenConfig) -> Recipe {
-        let n = rng.gen_range(1..=config.max_ops.max(1));
+    pub fn random(rng: &mut Xoshiro256pp, config: &GenConfig) -> Recipe {
+        let n = 1 + rng.below(config.max_ops.max(1) as u64) as usize;
         let ops = (0..n).map(|_| random_op(rng)).collect();
         Recipe { ops }
     }
@@ -278,37 +278,37 @@ impl Recipe {
     }
 }
 
-fn random_op<R: Rng>(rng: &mut R) -> GenOp {
-    match rng.gen_range(0..100u32) {
-        0..=9 => GenOp::Const(rng.gen_range(0..1u64 << 40)),
+fn random_op(rng: &mut Xoshiro256pp) -> GenOp {
+    match rng.below(100) {
+        0..=9 => GenOp::Const(rng.below(1 << 40)),
         10..=34 => GenOp::Bin {
-            kind: rng.gen_range(0..9) as u8,
-            a: rng.gen_range(0..256) as u16,
-            b: rng.gen_range(0..256) as u16,
+            kind: rng.below(9) as u8,
+            a: rng.below(256) as u16,
+            b: rng.below(256) as u16,
         },
         35..=42 => GenOp::Cast {
-            kind: rng.gen_range(0..2) as u8,
-            v: rng.gen_range(0..256) as u16,
+            kind: rng.below(2) as u8,
+            v: rng.below(256) as u16,
         },
         43..=60 => GenOp::Load {
-            buf: rng.gen_range(0..N_BUFS as u32) as u8,
-            idx: rng.gen_range(0..256) as u16,
+            buf: rng.below(N_BUFS as u64) as u8,
+            idx: rng.below(256) as u16,
         },
         61..=76 => GenOp::Store {
-            buf: rng.gen_range(0..N_BUFS as u32) as u8,
-            idx: rng.gen_range(0..256) as u16,
-            val: rng.gen_range(0..256) as u16,
+            buf: rng.below(N_BUFS as u64) as u8,
+            idx: rng.below(256) as u16,
+            val: rng.below(256) as u16,
         },
         77..=86 => GenOp::Diamond {
-            cond: rng.gen_range(0..256) as u16,
-            a: rng.gen_range(0..256) as u16,
-            b: rng.gen_range(0..256) as u16,
+            cond: rng.below(256) as u16,
+            a: rng.below(256) as u16,
+            b: rng.below(256) as u16,
         },
         87..=92 => GenOp::Loop {
-            buf: rng.gen_range(0..N_BUFS as u32) as u8,
-            iters: rng.gen_range(0..8) as u8,
+            buf: rng.below(N_BUFS as u64) as u8,
+            iters: rng.below(8) as u8,
         },
-        _ => GenOp::Output(rng.gen_range(0..256) as u16),
+        _ => GenOp::Output(rng.below(256) as u16),
     }
 }
 
@@ -414,12 +414,10 @@ impl FromStr for Recipe {
 mod tests {
     use super::*;
     use epvf_interp::{ExecConfig, Interpreter, Outcome};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn every_random_recipe_emits_a_completing_program() {
-        let mut rng = StdRng::seed_from_u64(0xE9F4);
+        let mut rng = Xoshiro256pp::seed_from_u64(0xE9F4);
         for _ in 0..60 {
             let r = Recipe::random(&mut rng, &GenConfig::default());
             let m = r.emit();
@@ -433,7 +431,7 @@ mod tests {
 
     #[test]
     fn recipe_text_roundtrips() {
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = Xoshiro256pp::seed_from_u64(99);
         for _ in 0..40 {
             let r = Recipe::random(&mut rng, &GenConfig::default());
             let text = r.to_string();
@@ -448,7 +446,7 @@ mod tests {
     fn shrink_finds_a_minimal_failing_subset() {
         // Synthetic failure: "fails" iff the recipe still contains a Store
         // gene. The shrinker must reduce to exactly one gene.
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
         let mut r = Recipe::random(&mut rng, &GenConfig { max_ops: 20 });
         r.ops.push(GenOp::Store {
             buf: 0,

@@ -20,10 +20,9 @@
 //!
 //! ```
 //! use epvf_oracle::{check_module, GenConfig, Recipe};
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
+//! use epvf_ir::hash::Xoshiro256pp;
 //!
-//! let mut rng = StdRng::seed_from_u64(7);
+//! let mut rng = Xoshiro256pp::seed_from_u64(7);
 //! let recipe = Recipe::random(&mut rng, &GenConfig::default());
 //! let module = recipe.emit();
 //! let oracle = check_module(&module, "main", &[], 4);

@@ -11,11 +11,10 @@
 
 use epvf_core::{analyze, analyze_compositional, CrashScope, EpvfConfig, EpvfResult, SectionCache};
 use epvf_interp::{ExecConfig, Interpreter, Trace};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_ir::Module;
 use epvf_oracle::{GenConfig, Recipe};
 use epvf_workloads::{extended_suite, Scale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::PathBuf;
 
 fn program_budget() -> usize {
@@ -151,7 +150,7 @@ fn persisted_cache_round_trips_across_processes() {
 #[test]
 fn random_programs_compose_exactly() {
     let n = program_budget();
-    let mut rng = StdRng::seed_from_u64(0xC0_5EC7);
+    let mut rng = Xoshiro256pp::seed_from_u64(0xC0_5EC7);
     let mut checked = 0usize;
     for i in 0..n {
         let recipe = Recipe::random(&mut rng, &GenConfig::default());

@@ -14,9 +14,8 @@
 //! program 0.963 / 0.982, zero hard violations.
 
 use epvf_core::{CrashScope, EpvfConfig};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_oracle::{check_module_with, Confusion, GenConfig, OracleOutcome, Recipe};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::Path;
 
 const CORPUS: &str = include_str!("../proptest-regressions/differential_gen.txt");
@@ -91,7 +90,7 @@ fn regression_corpus_replays_clean() {
 #[test]
 fn random_programs_match_ground_truth() {
     let n = program_budget();
-    let mut rng = StdRng::seed_from_u64(0x0E9F_4D01);
+    let mut rng = Xoshiro256pp::seed_from_u64(0x0E9F_4D01);
     let mut pooled = Confusion::default();
     let mut masked_sdc = 0u64;
     let mut universe = 0u64;

@@ -15,11 +15,10 @@
 
 use epvf_core::{parse_fault_model, BurstFlip, EccWord, FaultModel, SingleBitFlip, StoreAddr};
 use epvf_interp::{FaultEffect, InjectionSpec};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_llfi::{Campaign, CampaignConfig, CampaignError};
 use epvf_oracle::{sweep, GenConfig, Recipe};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn spec_strategy() -> impl Strategy<Value = (InjectionSpec, u32)> {
     // Width 1..=64, bit strictly inside it — the contract site tables
@@ -154,7 +153,7 @@ const MODELS: [&str; 6] = [
 fn enumeration_totality_and_thread_determinism_on_recipe_corpus() {
     let mut swept_nonempty = 0u32;
     for seed in [3u64, 11, 42, 2026] {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let recipe = Recipe::random(&mut rng, &GenConfig::default());
         let module = recipe.emit();
         for model_str in MODELS {

@@ -8,9 +8,8 @@
 
 use epvf_core::{analyze, analyze_compositional, EpvfConfig, SectionCache};
 use epvf_interp::{ExecConfig, Interpreter, Trace};
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_ir::{IcmpPred, Module, ModuleBuilder, Type, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One independent loop nest: its own buffer, trip count, and multiplier.
 /// Loops share nothing, so editing one multiplier must leave every other
@@ -69,16 +68,16 @@ fn traced(module: &Module) -> Trace {
 
 #[test]
 fn mutating_one_section_recomputes_only_that_section() {
-    let mut rng = StdRng::seed_from_u64(0x1CAC4E);
+    let mut rng = Xoshiro256pp::seed_from_u64(0x1CAC4E);
     for case in 0..20 {
-        let k = rng.gen_range(3..=7usize);
+        let k = 3 + rng.below(5) as usize;
         let loops: Vec<LoopSpec> = (0..k)
             .map(|_| LoopSpec {
-                trips: rng.gen_range(2..=6),
-                mult: rng.gen_range(1..=9),
+                trips: 2 + rng.below(5) as u32,
+                mult: 1 + rng.below(9) as u32,
             })
             .collect();
-        let victim = rng.gen_range(0..k);
+        let victim = rng.below(k as u64) as usize;
         let mut mutated = loops.clone();
         mutated[victim].mult += 1;
         assert_ne!(loops, mutated);

@@ -9,14 +9,13 @@
 //! deterministic byte- or line-level mutation, and feeds the result to
 //! `parse_module`.
 
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_ir::parse_module;
 use epvf_oracle::{GenConfig, Recipe};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A corpus of valid module texts drawn from the generator.
 fn corpus(seed: u64, n: usize) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
     (0..n)
         .map(|_| {
             Recipe::random(&mut rng, &GenConfig::default())
@@ -59,10 +58,10 @@ fn truncation_at_every_line_is_structured() {
 #[test]
 fn truncation_at_byte_offsets_is_structured() {
     for text in corpus(2, 8) {
-        let mut rng = StdRng::seed_from_u64(text.len() as u64);
+        let mut rng = Xoshiro256pp::seed_from_u64(text.len() as u64);
         for _ in 0..32 {
             // Cut at a char boundary (the texts are ASCII, but stay safe).
-            let mut cut = rng.gen_range(0..text.len().max(1));
+            let mut cut = rng.below(text.len().max(1) as u64) as usize;
             while !text.is_char_boundary(cut) {
                 cut -= 1;
             }
@@ -78,10 +77,10 @@ fn single_byte_corruption_is_structured() {
     let substitutes = [b'(', b')', b'@', b'%', b'"', b'-', b'9', b'x', b' ', 0xC3];
     for text in corpus(3, 6) {
         let bytes = text.as_bytes();
-        let mut rng = StdRng::seed_from_u64(bytes.len() as u64);
+        let mut rng = Xoshiro256pp::seed_from_u64(bytes.len() as u64);
         for _ in 0..64 {
-            let pos = rng.gen_range(0..bytes.len().max(1));
-            let sub = substitutes[rng.gen_range(0..substitutes.len())];
+            let pos = rng.below(bytes.len().max(1) as u64) as usize;
+            let sub = substitutes[rng.below(substitutes.len() as u64) as usize];
             let mut mutated = bytes.to_vec();
             mutated[pos.min(bytes.len() - 1)] = sub;
             // 0xC3 makes the text invalid-or-multibyte UTF-8; the parser
@@ -96,11 +95,11 @@ fn single_byte_corruption_is_structured() {
 fn line_level_mutations_are_structured() {
     for (case, text) in corpus(4, 6).into_iter().enumerate() {
         let lines: Vec<&str> = text.lines().collect();
-        let mut rng = StdRng::seed_from_u64(case as u64);
+        let mut rng = Xoshiro256pp::seed_from_u64(case as u64);
         for _ in 0..24 {
             let mut mutated: Vec<&str> = lines.clone();
-            let i = rng.gen_range(0..lines.len().max(1));
-            match rng.gen_range(0..4u32) {
+            let i = rng.below(lines.len().max(1) as u64) as usize;
+            match rng.below(4) {
                 // Delete a line (drops terminators, labels, braces).
                 0 => {
                     mutated.remove(i);
@@ -109,7 +108,7 @@ fn line_level_mutations_are_structured() {
                 1 => mutated.insert(i, lines[i]),
                 // Swap two lines (out-of-order definitions).
                 2 => {
-                    let j = rng.gen_range(0..lines.len());
+                    let j = rng.below(lines.len() as u64) as usize;
                     mutated.swap(i, j);
                 }
                 // Splice in garbage.

@@ -10,13 +10,12 @@
 //! through the algebra.
 
 use epvf_interp::InjectionSpec;
+use epvf_ir::hash::Xoshiro256pp;
 use epvf_llfi::{
     Campaign, CampaignConfig, CampaignError, CampaignResult, MergeError, RunSession, ShardOutcomes,
     ShardSpec,
 };
 use epvf_oracle::{GenConfig, Recipe};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Build campaigns over a small corpus of generated programs and hand
@@ -26,7 +25,7 @@ use std::collections::BTreeMap;
 fn for_corpus(mut f: impl FnMut(&Campaign<'_>, &[InjectionSpec], &CampaignResult)) {
     let mut exercised = 0u32;
     for seed in [2u64, 9, 41, 77, 2026] {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let recipe = Recipe::random(&mut rng, &GenConfig::default());
         let module = recipe.emit();
         let campaign = match Campaign::new(&module, "main", &[], CampaignConfig::default()) {

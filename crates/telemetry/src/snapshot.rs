@@ -21,15 +21,6 @@ pub struct TimerSnapshot {
 }
 
 impl TimerSnapshot {
-    /// Mean sample in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64 / 1e6
-        }
-    }
-
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &TimerSnapshot) {
         self.count += other.count;
