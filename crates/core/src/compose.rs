@@ -314,7 +314,7 @@ fn section_key(
                 k.u8(1);
                 let rec = trace.get(rec_idx).expect("def record");
                 k.u64(sid_hash[rec.sid.index()]);
-                hash_record(&mut k, module, ddg, map, pos, n, rec);
+                hash_record(&mut k, module, ddg, map, pos, n, &rec);
             }
         }
     }

@@ -77,13 +77,14 @@ mod tests {
         ])
     }
 
-    fn access(addr: u64, sp: u64, map: MemoryMap) -> MemAccessRec {
+    /// An access under `map`, leaked so the record can be `'static`.
+    fn access(addr: u64, sp: u64, map: MemoryMap) -> MemAccessRec<'static> {
         MemAccessRec {
             addr,
             size: 4,
             is_store: false,
             sp,
-            map: std::sync::Arc::new(map),
+            map: Box::leak(Box::new(map)),
         }
     }
 

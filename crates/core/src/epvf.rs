@@ -71,12 +71,12 @@ pub struct EpvfResult {
 /// Σ bit widths of register-operand reads in a trace.
 pub fn trace_use_bits(module: &Module, trace: &Trace) -> u64 {
     let mut total = 0u64;
-    for rec in trace {
-        let func = &module.functions[rec.func.index()];
-        for op in &rec.operands {
+    for (i, func) in trace.funcs().enumerate() {
+        let types = &module.functions[func.index()].value_types;
+        for op in trace.operands(i) {
             if op.src.is_some() {
                 if let epvf_ir::Value::Reg(r) = op.value {
-                    total += u64::from(func.value_types[r.index()].bits());
+                    total += u64::from(types[r.index()].bits());
                 }
             }
         }
@@ -116,8 +116,9 @@ pub fn analyze(module: &Module, trace: &Trace, config: EpvfConfig) -> EpvfResult
 }
 
 /// The one analysis body: DDG and ACE graph, then `model` (which opens the
-/// `CorePropagate` span), then metrics. [`analyze`] passes the monolithic
-/// walk; [`crate::analyze_compositional`] passes the section-cached one.
+/// `CorePropagate` span), then metrics (in the `CoreMetrics` span).
+/// [`analyze`] passes the monolithic walk; [`crate::analyze_compositional`]
+/// passes the section-cached one.
 pub(crate) fn analyze_with(
     module: &Module,
     trace: &Trace,
@@ -135,9 +136,12 @@ pub(crate) fn analyze_with(
     let crash_map = model(&ddg, &ace);
     let model_time = t1.elapsed();
 
-    let metrics = compute_metrics(
-        module, trace, &ddg, &ace, &crash_map, graph_time, model_time,
-    );
+    let metrics = {
+        let _span = epvf_telemetry::span(epvf_telemetry::Tmr::CoreMetrics);
+        compute_metrics(
+            module, trace, &ddg, &ace, &crash_map, graph_time, model_time,
+        )
+    };
     EpvfResult {
         ddg,
         ace,

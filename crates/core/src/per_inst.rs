@@ -87,7 +87,7 @@ pub fn per_instruction_scores(
     let mut accs: HashMap<StaticInstId, Acc> = HashMap::new();
 
     for rec in trace {
-        let (total, ace_bits, crash_bits) = instance_bits(module, rec, ace, crash_map, &by_dyn);
+        let (total, ace_bits, crash_bits) = instance_bits(module, &rec, ace, crash_map, &by_dyn);
         if total == 0 {
             continue; // no register bits involved (e.g. `br`)
         }

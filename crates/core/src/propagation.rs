@@ -68,8 +68,8 @@ const ABSENT: u32 = u32::MAX;
 /// constraints on the same keys, whatever their write order or sizing.
 #[derive(Debug, Clone, Default)]
 pub struct CrashMap {
-    /// Per trace record, the index of its first operand slot in `use_slot`
-    /// (`trace.len() + 1` prefix sums of operand counts).
+    /// Per trace record, the index of its first operand slot in `use_slot`:
+    /// the trace's own `len() + 1` operand offsets.
     use_base: Vec<u32>,
     /// Per `(record, operand slot)`: index into `use_vals`, or [`ABSENT`].
     use_slot: Vec<u32>,
@@ -94,13 +94,8 @@ impl CrashMap {
     /// An empty map with a slot for every operand of every record in
     /// `trace` and for every node of `ddg`.
     pub(crate) fn new(trace: &Trace, ddg: &Ddg) -> CrashMap {
-        let mut use_base = Vec::with_capacity(trace.len() + 1);
-        let mut n_slots = 0usize;
-        use_base.push(0);
-        for rec in trace {
-            n_slots += rec.operands.len();
-            use_base.push(u32::try_from(n_slots).expect("operand slots fit in u32"));
-        }
+        let use_base: Vec<u32> = trace.operand_offsets().collect();
+        let n_slots = *use_base.last().expect("offsets hold len() + 1 entries") as usize;
         CrashMap {
             use_base,
             use_slot: vec![ABSENT; n_slots],
@@ -650,7 +645,7 @@ fn drain(
                 if !range.contains(val_op.bits) {
                     continue;
                 }
-                let width = operand_width(module, store_rec, val_op.value).min(ty.bits());
+                let width = operand_width(module, &store_rec, val_op.value).min(ty.bits());
                 sink.constrain_use(store_idx, 0, range, val_op.bits, width);
                 if let Some(src) = val_op.src {
                     if let Some(&src_node) = lookup_dyn(ddg, dep, src) {
@@ -665,16 +660,16 @@ fn drain(
 
         for (slot, op_rec) in rec.operands.iter().enumerate() {
             let Some(_src) = op_rec.src else { continue };
-            let Some(or) = operand_range(&inst.op, slot, rec, range) else {
+            let Some(or) = operand_range(&inst.op, slot, &rec, range) else {
                 continue;
             };
             if or.is_full() {
                 continue;
             }
-            let width = operand_width(module, rec, op_rec.value);
+            let width = operand_width(module, &rec, op_rec.value);
             sink.constrain_use(rec.idx, slot, or, op_rec.bits, width);
             // The Data dependency edge for this operand.
-            if let Some(src_node) = data_dep_for_slot(ddg, node, rec, slot) {
+            if let Some(src_node) = data_dep_for_slot(ddg, node, &rec, slot) {
                 if sink.tighten_node(src_node, or, op_rec.bits, width) && !or.is_full() {
                     queue.push(src_node);
                 }
@@ -710,25 +705,29 @@ mod lookup_table_tests {
     use epvf_interp::{DynValueId, OperandRec};
     use epvf_ir::{BinOp, CastOp, FcmpPred, FuncId, IcmpPred, StaticInstId, Type};
 
-    fn rec(operands: Vec<(u64, bool)>, result: Option<u64>) -> DynInst {
+    /// A hand-made record; its operands are leaked so the view can be
+    /// `'static` (a few words per test).
+    fn rec(operands: Vec<(u64, bool)>, result: Option<u64>) -> DynInst<'static> {
         DynInst {
             idx: 0,
             sid: StaticInstId(0),
             func: FuncId(0),
             result: result.map(|bits| (epvf_ir::ValueId(99), bits, DynValueId(99))),
-            operands: operands
-                .into_iter()
-                .enumerate()
-                .map(|(i, (bits, is_reg))| OperandRec {
-                    value: if is_reg {
-                        Value::Reg(epvf_ir::ValueId(i as u32))
-                    } else {
-                        Value::const_int(Type::I64, bits)
-                    },
-                    bits,
-                    src: is_reg.then_some(DynValueId(i as u64)),
-                })
-                .collect(),
+            operands: Vec::leak(
+                operands
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (bits, is_reg))| OperandRec {
+                        value: if is_reg {
+                            Value::Reg(epvf_ir::ValueId(i as u32))
+                        } else {
+                            Value::const_int(Type::I64, bits)
+                        },
+                        bits,
+                        src: is_reg.then_some(DynValueId(i as u64)),
+                    })
+                    .collect(),
+            ),
             mem: None,
         }
     }

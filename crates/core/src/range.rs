@@ -67,19 +67,48 @@ impl ValueRange {
     }
 
     /// Number of crash bits of `value` below `width`.
+    ///
+    /// For a value inside the range this is closed-form: flipping a set bit
+    /// `b` subtracts `2^b`, which stays in range iff `2^b ≤ value − lo`;
+    /// flipping a clear bit adds `2^b`, which stays in range iff
+    /// `2^b ≤ hi − value`. So the safe set bits are those below the bit
+    /// length of `value − lo`, the safe clear bits those below the bit
+    /// length of `hi − value`, and every other bit below `width` crashes.
+    /// Out-of-range values and inverted ranges flip each bit in turn.
     pub fn crash_bit_count(self, value: u64, width: u32) -> u32 {
         if self.is_full() {
             return 0;
         }
-        (0..width.min(64))
-            .filter(|b| !self.contains(value ^ (1u64 << b)))
-            .count() as u32
+        if !self.contains(value) {
+            return (0..width.min(64))
+                .filter(|b| !self.contains(value ^ (1u64 << b)))
+                .count() as u32;
+        }
+        let width_mask = low_bits(width.min(64));
+        let safe_set = low_bits(bit_length(value - self.lo));
+        let safe_clear = low_bits(bit_length(self.hi - value));
+        let crash = (value & !safe_set) | (!value & !safe_clear);
+        (crash & width_mask).count_ones()
     }
 
     /// Whether flipping bit `bit` of `value` violates the range — the
     /// point query used by the recall/precision evaluation.
     pub fn flip_crashes(self, value: u64, bit: u8) -> bool {
         !self.contains(value ^ (1u64 << (bit & 63)))
+    }
+}
+
+/// Number of significant bits of `x`: the positions `b` with `2^b ≤ x`.
+fn bit_length(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
+/// A mask of the low `n` bits (`n ≤ 64`).
+fn low_bits(n: u32) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 

@@ -9,6 +9,38 @@ fn range_strategy() -> impl Strategy<Value = ValueRange> {
 }
 
 proptest! {
+    /// The closed-form count equals the per-bit flip loop of `crash_bits`
+    /// for in-range values at distances of every magnitude from either
+    /// bound. (`crash_bits_match_point_queries` covers arbitrary ranges
+    /// and values.)
+    #[test]
+    fn crash_bit_count_matches_flipping_every_bit(
+        v in any::<u64>(),
+        below in (any::<u64>(), 0u32..64),
+        above in (any::<u64>(), 0u32..64),
+        width in 1u32..=64,
+    ) {
+        let r = ValueRange::new(
+            v.saturating_sub(below.0 >> below.1),
+            v.saturating_add(above.0 >> above.1),
+        );
+        prop_assert!(r.contains(v));
+        prop_assert_eq!(r.crash_bit_count(v, width), r.crash_bits(v, width).len() as u32);
+    }
+
+    /// The same over a dense small universe, where bounds, value and width
+    /// collide often (`lo == v`, `v == hi`, `lo > hi`, narrow widths).
+    #[test]
+    fn crash_bit_count_matches_flipping_on_small_values(
+        lo in 0u64..40,
+        hi in 0u64..40,
+        v in 0u64..40,
+        width in 1u32..=8,
+    ) {
+        let r = ValueRange::new(lo, hi);
+        prop_assert_eq!(r.crash_bit_count(v, width), r.crash_bits(v, width).len() as u32);
+    }
+
     /// Intersection is commutative and idempotent, and never widens.
     #[test]
     fn intersection_laws(a in range_strategy(), b in range_strategy()) {

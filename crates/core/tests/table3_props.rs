@@ -27,20 +27,22 @@ fn bin_module(op: BinOp) -> Module {
 }
 
 /// Golden-run `module` and return the first record whose static op
-/// satisfies `pred`, along with that op (cloned out of the module).
-fn traced_op(module: &Module, args: &[u64], pred: impl Fn(&Op) -> bool) -> (Op, DynInst) {
+/// satisfies `pred`, along with that op (cloned out of the module). The
+/// record is a view into its trace, so the (small) trace is leaked to
+/// outlive the call.
+fn traced_op(module: &Module, args: &[u64], pred: impl Fn(&Op) -> bool) -> (Op, DynInst<'static>) {
     let run = Interpreter::new(module, ExecConfig::default())
         .golden_run("main", args)
         .expect("entry valid");
     assert_eq!(run.outcome, Outcome::Completed);
-    let trace: &Trace = run.trace.as_ref().expect("traced");
-    for rec in &trace.records {
+    let trace: &'static Trace = Box::leak(Box::new(run.trace.expect("traced")));
+    for rec in trace {
         let inst = module.functions[rec.func.index()]
             .insts()
             .find(|i| i.sid == rec.sid)
             .expect("record maps to a static inst");
         if pred(&inst.op) {
-            return (inst.op.clone(), rec.clone());
+            return (inst.op.clone(), rec);
         }
     }
     panic!("no matching instruction executed");
@@ -64,7 +66,7 @@ fn result_with(
         .golden_run("main", &args)
         .expect("entry valid");
     let trace = run.trace.as_ref()?;
-    for rec in &trace.records {
+    for rec in trace {
         let inst = module.functions[rec.func.index()]
             .insts()
             .find(|i| i.sid == rec.sid)

@@ -3,7 +3,6 @@
 use crate::graph::{Ddg, EdgeKind, Node, NodeId, NodeKind};
 use epvf_interp::{DynInst, DynValueId, Trace};
 use epvf_ir::{Inst, Module, Op, Type, Value};
-use std::collections::HashMap;
 
 /// DDG construction options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +60,84 @@ fn operand_type(module: &Module, rec: &DynInst, v: Value) -> Type {
     }
 }
 
+/// Empty slot in the builder's dense tables.
+const NONE: u32 = u32::MAX;
+
+/// Bytes per [`LastStore`] page.
+const PAGE: u64 = 4096;
+
+/// Byte address → the memory node that last wrote it: one dense block of
+/// `PAGE` slots per page any store touched. Blocks are found through a
+/// page list sorted by page number, with the last hit remembered
+/// (consecutive accesses mostly stay on one page), so no address is
+/// hashed.
+struct LastStore {
+    /// `(page number, block index)`, sorted by page number.
+    pages: Vec<(u64, u32)>,
+    /// `PAGE` slots per block: a node index, or [`NONE`].
+    slots: Vec<u32>,
+    /// The last page found, and its block.
+    hit: Option<(u64, u32)>,
+}
+
+impl LastStore {
+    fn new() -> Self {
+        LastStore {
+            pages: Vec::new(),
+            slots: Vec::new(),
+            hit: None,
+        }
+    }
+
+    /// The block of `page`, created (all [`NONE`]) when `create` is set and
+    /// no store has touched the page yet.
+    fn block(&mut self, page: u64, create: bool) -> Option<u32> {
+        if let Some((p, b)) = self.hit {
+            if p == page {
+                return Some(b);
+            }
+        }
+        let b = match self.pages.binary_search_by_key(&page, |&(p, _)| p) {
+            Ok(at) => self.pages[at].1,
+            Err(_) if !create => return None,
+            Err(at) => {
+                let b = u32::try_from(self.pages.len()).expect("pages fit in u32");
+                self.pages.insert(at, (page, b));
+                self.slots.resize(self.slots.len() + PAGE as usize, NONE);
+                b
+            }
+        };
+        self.hit = Some((page, b));
+        Some(b)
+    }
+
+    /// Apply `f` to the slots of `addr..addr + size`, one page-bounded
+    /// chunk at a time, in address order. Chunks on pages no store touched
+    /// are skipped unless `create` is set.
+    fn chunks(&mut self, addr: u64, size: u64, create: bool, mut f: impl FnMut(&mut [u32])) {
+        let end = addr + size;
+        let mut at = addr;
+        while at < end {
+            let page = at / PAGE;
+            let stop = end.min((page + 1) * PAGE);
+            if let Some(b) = self.block(page, create) {
+                let base = b as usize * PAGE as usize;
+                let lo = base + (at % PAGE) as usize;
+                f(&mut self.slots[lo..lo + (stop - at) as usize]);
+            }
+            at = stop;
+        }
+    }
+}
+
 struct Builder<'m> {
     module: &'m Module,
     config: DdgConfig,
     nodes: Vec<Node>,
-    by_dyn: HashMap<DynValueId, NodeId>,
-    /// byte address → memory node that last wrote it
-    last_store: HashMap<u64, NodeId>,
+    /// Node of each dynamic value, indexed by `DynValueId` (the interpreter
+    /// issues ids sequentially from 0), or [`NONE`].
+    by_dyn: Vec<u32>,
+    last_store: LastStore,
     outputs: Vec<NodeId>,
     controls: Vec<NodeId>,
     record_def: Vec<Option<NodeId>>,
@@ -83,8 +153,10 @@ impl<'m> Builder<'m> {
     /// Node for a dynamic register value; creates a def-less register node
     /// (entry argument / constant-bound parameter) on first sight.
     fn reg_node(&mut self, dv: DynValueId, bits: u32) -> NodeId {
-        if let Some(&id) = self.by_dyn.get(&dv) {
-            return id;
+        if let Some(&at) = self.by_dyn.get(dv.index()) {
+            if at != NONE {
+                return NodeId(at);
+            }
         }
         let id = self.push_node(Node {
             kind: NodeKind::Reg(dv),
@@ -92,14 +164,25 @@ impl<'m> Builder<'m> {
             def_record: None,
             deps: Vec::new(),
         });
-        self.by_dyn.insert(dv, id);
+        self.bind(dv, id);
         id
+    }
+
+    /// Record `id` as the node of `dv`, growing the table for ids past the
+    /// trace length (entry arguments and constant-bound parameters take ids
+    /// that no record defines).
+    fn bind(&mut self, dv: DynValueId, id: NodeId) {
+        let i = dv.index();
+        if i >= self.by_dyn.len() {
+            self.by_dyn.resize(i + 1, NONE);
+        }
+        self.by_dyn[i] = id.0;
     }
 
     /// Dependency edges for the register-backed operands of a record.
     fn operand_deps(&mut self, rec: &DynInst) -> Vec<(NodeId, EdgeKind)> {
         let mut deps = Vec::new();
-        for op in &rec.operands {
+        for op in rec.operands {
             if let Some(src) = op.src {
                 let bits = operand_type(self.module, rec, op.value).bits();
                 deps.push((self.reg_node(src, bits), EdgeKind::Data));
@@ -117,7 +200,7 @@ impl<'m> Builder<'m> {
             def_record: Some(rec.idx),
             deps,
         });
-        self.by_dyn.insert(dv, id);
+        self.bind(dv, id);
         Some(id)
     }
 
@@ -143,24 +226,23 @@ impl<'m> Builder<'m> {
                     def_record: Some(rec.idx),
                     deps,
                 });
-                for b in mem.addr..mem.addr + mem.size {
-                    self.last_store.insert(b, id);
-                }
+                self.last_store
+                    .chunks(mem.addr, mem.size, true, |slots| slots.fill(id.0));
                 Some(id)
             }
             Op::Load { .. } => {
                 // operands: [addr]
                 let mem = rec.mem.as_ref().expect("load records carry access info");
                 let mut deps: Vec<(NodeId, EdgeKind)> = Vec::new();
-                let mut last: Option<NodeId> = None;
-                for b in mem.addr..mem.addr + mem.size {
-                    if let Some(&src) = self.last_store.get(&b) {
-                        if last != Some(src) {
-                            deps.push((src, EdgeKind::Data));
-                            last = Some(src);
+                let mut last = NONE;
+                self.last_store.chunks(mem.addr, mem.size, false, |slots| {
+                    for &src in slots.iter() {
+                        if src != NONE && src != last {
+                            deps.push((NodeId(src), EdgeKind::Data));
+                            last = src;
                         }
                     }
-                }
+                });
                 if self.config.addr_edges {
                     if let Some(src) = rec.operands[0].src {
                         deps.push((self.reg_node(src, 64), EdgeKind::Addr));
@@ -223,15 +305,15 @@ pub fn build_ddg_with(module: &Module, trace: &Trace, config: DdgConfig) -> Ddg 
         module,
         config,
         nodes: Vec::with_capacity(trace.len()),
-        by_dyn: HashMap::with_capacity(trace.len()),
-        last_store: HashMap::new(),
+        by_dyn: Vec::with_capacity(trace.len()),
+        last_store: LastStore::new(),
         outputs: Vec::new(),
         controls: Vec::new(),
         record_def: vec![None; trace.len()],
     };
     for rec in trace {
         let inst = index.get(rec.sid);
-        b.visit(rec, inst);
+        b.visit(&rec, inst);
     }
     {
         use epvf_telemetry::{add, Ctr};
@@ -360,5 +442,33 @@ mod tests {
             .collect();
         assert_eq!(defless.len(), 1, "the entry argument");
         assert_eq!(defless[0].bits, 32);
+    }
+
+    #[test]
+    fn entry_argument_ids_beyond_the_trace_length_get_nodes() {
+        // Eight entry arguments take dyn ids 0..8; the trace has only three
+        // records, so most argument ids index past `trace.len()`.
+        let mut mb = ModuleBuilder::new("t");
+        let mut f = mb.function("main", vec![Type::I64; 8], None);
+        let (a, h) = (f.param(0), f.param(7));
+        let y = f.add(Type::I64, a, h);
+        f.output(Type::I64, y);
+        f.ret(None);
+        f.finish();
+        let m = mb.finish().expect("verifies");
+        let r = Interpreter::new(&m, ExecConfig::default())
+            .golden_run("main", &[1, 2, 3, 4, 5, 6, 7, 8])
+            .expect("runs");
+        let t = r.trace.expect("trace");
+        assert_eq!(t.len(), 3);
+        let ddg = build_ddg(&m, &t);
+        let add = ddg.node(ddg.def_of_record(0).expect("add defines"));
+        let srcs: Vec<_> = add.deps.iter().map(|&(d, _)| ddg.node(d).kind).collect();
+        assert_eq!(
+            srcs,
+            vec![NodeKind::Reg(DynValueId(0)), NodeKind::Reg(DynValueId(7))]
+        );
+        assert_eq!(add.kind, NodeKind::Reg(DynValueId(8)), "first fresh id");
+        assert_eq!(ddg.outputs(), &[ddg.def_of_record(0).expect("add")]);
     }
 }

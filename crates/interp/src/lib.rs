@@ -57,4 +57,6 @@ pub use machine::{
     MultiBitSpec, ReplayOutcome, Snapshot, DEADLINE_CHECK_STRIDE,
 };
 pub use outcome::{CrashKind, Outcome, RunResult, TimeoutKind};
-pub use trace::{section_runs, DynInst, DynValueId, MemAccessRec, OperandRec, SectionRun, Trace};
+pub use trace::{
+    section_runs, DynInst, DynValueId, MemAccessRec, OperandRec, Records, SectionRun, Trace,
+};

@@ -8,15 +8,14 @@
 //! faults are activated").
 
 use crate::outcome::{CrashKind, Outcome, RunResult, TimeoutKind};
-use crate::trace::{DynInst, DynValueId, MemAccessRec, OperandRec, Trace};
+use crate::trace::{Access, DynValueId, OperandRec, Trace};
 use epvf_ir::{
     BinOp, CastOp, FBinOp, FUnOp, FcmpPred, FuncId, IcmpPred, Inst, Module, Op, Type, Value,
     ValueId,
 };
-use epvf_memsim::{MemConfig, MemStats, MemoryMap, SimMemory};
+use epvf_memsim::{MemConfig, MemStats, SimMemory};
 use epvf_telemetry::{Ctr, Tmr};
 use std::fmt;
-use std::sync::Arc;
 
 /// Bytes charged per call frame (saved registers / linkage), so the
 /// simulated stack pointer descends realistically.
@@ -509,10 +508,6 @@ struct Exec<'m, 'r> {
     /// consumption, overwrite, or scrub-window expiry.
     ecc: Option<epvf_memsim::EccError>,
     global_addrs: Vec<u64>,
-    /// Cache of the last map snapshot, keyed by `SimMemory::map_version`, so
-    /// traced loads/stores under an unchanged map share one `Arc` instead of
-    /// deep-cloning the VMA list per access.
-    map_cache: Option<(u64, Arc<MemoryMap>)>,
     ckpt: Option<CkptCollector>,
     rendezvous: Option<Rendezvous<'r>>,
     /// Telemetry accumulated locally (plain integers on the hot path) and
@@ -565,7 +560,6 @@ impl<'m, 'r> Exec<'m, 'r> {
             injection,
             ecc: None,
             global_addrs: Vec::new(),
-            map_cache: None,
             ckpt: None,
             rendezvous: None,
             loads: 0,
@@ -603,7 +597,6 @@ impl<'m, 'r> Exec<'m, 'r> {
             injection,
             ecc: None,
             global_addrs: snap.global_addrs.clone(),
-            map_cache: None,
             ckpt: None,
             rendezvous: None,
             loads: 0,
@@ -952,18 +945,13 @@ impl<'m, 'r> Exec<'m, 'r> {
             let result = inst.result.expect("phi defines");
             if tracing {
                 let src = self.src_of(taken);
-                self.trace.records.push(DynInst {
-                    idx: dyn_idx,
-                    sid: inst.sid,
-                    func: func_id,
-                    result: None, // patched below with the committed dyn id
-                    operands: vec![OperandRec {
-                        value: taken,
-                        bits,
-                        src,
-                    }],
-                    mem: None,
+                self.trace.push_operand(OperandRec {
+                    value: taken,
+                    bits,
+                    src,
                 });
+                // The result is patched below with the committed dyn id.
+                self.trace.push_record(inst.sid, func_id, None, None);
             }
             staged.push((result, bits));
         }
@@ -984,8 +972,8 @@ impl<'m, 'r> Exec<'m, 'r> {
             if tracing {
                 let id = self.fresh_dyn();
                 self.set_dynid(reg, id);
-                let ridx = self.trace.records.len() - n + i;
-                self.trace.records[ridx].result = Some((reg, bits, id));
+                let ridx = self.trace.len() - n + i;
+                self.trace.set_result(ridx, reg, bits, id);
             }
         }
         self.phi_scratch = staged;
@@ -1106,40 +1094,32 @@ impl<'m, 'r> Exec<'m, 'r> {
         if matches!(self.fault_at(dyn_idx), Some(FaultEffect::SkipInst)) && !inst.op.is_terminator()
         {
             if self.config.record_trace {
-                self.trace.records.push(DynInst {
-                    idx: dyn_idx,
-                    sid: inst.sid,
-                    func: func_id,
-                    result: None,
-                    operands: Vec::new(),
-                    mem: None,
-                });
+                self.trace.push_record(inst.sid, func_id, None, None);
             }
             return Flow::Next;
         }
 
-        // Operand reads (slot order = Op::operands()).
-        let mut rec_ops: Vec<OperandRec> = Vec::new();
-        let record = |ops: &mut Vec<OperandRec>, v: Value, bits: u64, src| {
-            ops.push(OperandRec {
-                value: v,
-                bits,
-                src,
-            });
-        };
+        // Operand reads (slot order = Op::operands()). Traced runs append
+        // each read to the trace's operand arena; `push_record` below closes
+        // the record over them.
         let tracing = self.config.record_trace;
 
         macro_rules! read {
             ($slot:expr, $v:expr) => {{
                 let bits = self.read_operand(dyn_idx, $slot, $v);
                 if tracing {
-                    record(&mut rec_ops, $v, bits, self.src_of($v));
+                    let src = self.src_of($v);
+                    self.trace.push_operand(OperandRec {
+                        value: $v,
+                        bits,
+                        src,
+                    });
                 }
                 bits
             }};
         }
 
-        let mut mem_rec: Option<MemAccessRec> = None;
+        let mut mem_rec: Option<Access> = None;
         let mut result: Option<(ValueId, u64, DynValueId)> = None;
 
         let flow: Flow = match &inst.op {
@@ -1223,12 +1203,15 @@ impl<'m, 'r> Exec<'m, 'r> {
                     match self.mem.read(ap, size, sp) {
                         Ok(v) => {
                             if tracing {
-                                mem_rec = Some(MemAccessRec {
+                                let map = self
+                                    .trace
+                                    .intern_map(self.mem.map_version(), self.mem.map());
+                                mem_rec = Some(Access {
                                     addr: ap,
                                     size,
-                                    is_store: false,
                                     sp,
-                                    map: self.map_snapshot(),
+                                    map,
+                                    is_store: false,
                                 });
                             }
                             result = self.define(inst, v);
@@ -1266,12 +1249,15 @@ impl<'m, 'r> Exec<'m, 'r> {
                                 self.ecc_plant(ap, size, ty.truncate_payload(vv), mask, window);
                             }
                             if tracing {
-                                mem_rec = Some(MemAccessRec {
+                                let map = self
+                                    .trace
+                                    .intern_map(self.mem.map_version(), self.mem.map());
+                                mem_rec = Some(Access {
                                     addr: ap,
                                     size,
-                                    is_store: true,
                                     sp,
-                                    map: self.map_snapshot(),
+                                    map,
+                                    is_store: true,
                                 });
                             }
                             Flow::Next
@@ -1351,6 +1337,10 @@ impl<'m, 'r> Exec<'m, 'r> {
                 let caller_sp = self.frames.last().expect("frame exists").sp;
                 let sp = caller_sp - FRAME_OVERHEAD;
                 if let Err(e) = self.mem.grow_stack_to(sp) {
+                    // The call is not recorded; neither are its arguments.
+                    if tracing {
+                        self.trace.discard_pending_operands();
+                    }
                     return Flow::Stop(Outcome::Crashed {
                         kind: e.into(),
                         at_dyn: dyn_idx,
@@ -1413,14 +1403,7 @@ impl<'m, 'r> Exec<'m, 'r> {
         };
 
         if tracing {
-            self.trace.records.push(DynInst {
-                idx: dyn_idx,
-                sid: inst.sid,
-                func: func_id,
-                result,
-                operands: rec_ops,
-                mem: mem_rec,
-            });
+            self.trace.push_record(inst.sid, func_id, result, mem_rec);
         }
         flow
     }
@@ -1448,23 +1431,6 @@ impl<'m, 'r> Exec<'m, 'r> {
         let id = self.fresh_dyn();
         self.set_dynid(reg, id);
         Some((reg, bits, id))
-    }
-
-    /// Shared snapshot of the current memory map, re-cloned only when the
-    /// map actually changed since the last call (tracked by
-    /// `SimMemory::map_version`). Traced loads/stores call this per access;
-    /// the old per-access deep clone of the VMA list dominated golden-run
-    /// time on memory-heavy workloads.
-    fn map_snapshot(&mut self) -> Arc<MemoryMap> {
-        let version = self.mem.map_version();
-        match &self.map_cache {
-            Some((v, map)) if *v == version => Arc::clone(map),
-            _ => {
-                let map = Arc::new(self.mem.snapshot_map());
-                self.map_cache = Some((version, Arc::clone(&map)));
-                map
-            }
-        }
     }
 
     fn operand_ty(&self, v: Value) -> Type {

@@ -52,7 +52,7 @@ fn digest(trace: &Trace) -> u64 {
             None => h.word(0),
         }
         h.word(r.operands.len() as u64);
-        for op in &r.operands {
+        for op in r.operands {
             h.word(op.bits);
             h.word(op.src.map_or(u64::MAX, |id| id.0));
         }

@@ -84,7 +84,7 @@ pub fn predicted_crash_specs(campaign: &Campaign<'_>, crash_map: &CrashMap) -> V
         let Some(rec) = trace.get(dyn_idx) else {
             continue;
         };
-        let Some(width) = injectable_operand(module, rec, slot) else {
+        let Some(width) = injectable_operand(module, &rec, slot) else {
             continue;
         };
         let op = &rec.operands[slot];

@@ -78,7 +78,7 @@ impl SiteTable {
         let mut total = 0u64;
         for rec in trace {
             for slot in 0..rec.operands.len().max(1) {
-                let Some(width) = model.points(&ctx, module, rec, slot) else {
+                let Some(width) = model.points(&ctx, module, &rec, slot) else {
                     continue;
                 };
                 total += u64::from(width);
@@ -87,7 +87,7 @@ impl SiteTable {
                     slot,
                     width,
                     op_class: classes.class_of(rec.sid),
-                    operand_kind: model.operand_kind(module, rec, slot),
+                    operand_kind: model.operand_kind(module, &rec, slot),
                     banded,
                 });
                 cum.push(total);

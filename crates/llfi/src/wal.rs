@@ -354,8 +354,8 @@ impl WalInner {
 }
 
 /// Thread-safe appender for a campaign's WAL. Workers share one sink;
-/// appends are buffered and flushed to the OS every [`FLUSH_BATCH`]
-/// records (and once more when the campaign finishes).
+/// appends are buffered and flushed to the OS every 64 records (and once
+/// more when the campaign finishes).
 ///
 /// Write errors do not abort the campaign mid-flight (the in-memory
 /// result is still valid); the first one is kept and surfaced by
@@ -492,9 +492,9 @@ impl WalSink {
         &self.path
     }
 
-    /// Append one completed run. Buffered; flushed every
-    /// [`FLUSH_BATCH`] records (or every `EPVF_WAL_FLUSH_BATCH` when
-    /// that environment override is set — see [`flush_batch`]).
+    /// Append one completed run. Buffered; flushed every 64 records, or
+    /// every `EPVF_WAL_FLUSH_BATCH` records when that environment variable
+    /// holds a positive count.
     pub fn append(&self, index: usize, spec: InjectionSpec, outcome: InjOutcome) {
         let payload = encode_payload(index, spec, outcome);
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());

@@ -280,6 +280,7 @@ define_timers! {
     DdgBuild => ("ddg.build", "DDG construction from a trace"),
     AceCompute => ("ace.compute", "ACE reverse-BFS"),
     CorePropagate => ("core.propagate", "crash model + backward-slice propagation"),
+    CoreMetrics => ("core.metrics", "ePVF metrics over the DDG, ACE graph and crash map"),
     CampaignRun => ("llfi.campaign.run", "whole injection campaigns"),
     OracleSweep => ("oracle.sweep", "ground-truth sweeps"),
     BenchSection => ("bench.section", "timed harness sections"),

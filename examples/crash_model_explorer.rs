@@ -30,7 +30,7 @@ fn main() {
             size: 8,
             is_store: false,
             sp,
-            map: std::sync::Arc::new(mem.snapshot_map()),
+            map: mem.map(),
         };
         let full = check_boundary(&access, CrashModelConfig::default());
         let naive = check_boundary(
